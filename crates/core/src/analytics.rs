@@ -278,13 +278,13 @@ pub fn pairwise_distances<const W: usize>(
         fn finish(
             &self,
             batch_idx: usize,
-            sources: &[VertexId],
+            _sources: &[VertexId],
             visitor: Self::Visitor,
             _stats: &TraversalStats,
         ) {
             let base = batch_idx * W * 64;
-            for i in 0..sources.len() {
-                *self.out[base + i].lock().unwrap() = visitor.distances_of(i);
+            for (slot, row) in self.out[base..].iter().zip(visitor.into_distances()) {
+                *slot.lock().unwrap() = row;
             }
         }
     }

@@ -1314,10 +1314,7 @@ fn run_ms<const W: usize, G: Adjacency + ?Sized>(
     let bfs = state.get_or_insert_with(|| MsPbfs::new(n));
     let visitor: MsDistanceVisitor<W> = MsDistanceVisitor::new(n, sources.len());
     let stats = bfs.run(g, pool, sources, opts, &visitor);
-    let results = (0..sources.len())
-        .map(|i| visitor.distances_of(i))
-        .collect();
-    (stats, results)
+    (stats, visitor.into_distances())
 }
 
 /// Runs one batch through the scatter/gather kernel at compile-time width
@@ -1333,10 +1330,7 @@ fn run_sharded<const W: usize, P: ShardedAdjacency + ?Sized>(
     let bfs = state.get_or_insert_with(|| ShardedMsBfs::new(n, part.num_nodes()));
     let visitor: MsDistanceVisitor<W> = MsDistanceVisitor::new(n, sources.len());
     let stats = bfs.run(part, pool, sources, opts, &visitor);
-    let results = (0..sources.len())
-        .map(|i| visitor.distances_of(i))
-        .collect();
-    (stats, results)
+    (stats, visitor.into_distances())
 }
 
 #[cfg(test)]

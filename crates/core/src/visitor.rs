@@ -162,12 +162,24 @@ impl<A: SsVisitor, B: SsVisitor> SsVisitor for PairVisitor<'_, A, B> {
 }
 
 /// Records one distance array per concurrent BFS of a multi-source batch.
-/// Memory is `O(batch_size × n)` — meant for analytics on moderate graphs
-/// and for differential testing.
+/// Memory is `O(batch_size × n)` — meant for analytics on moderate graphs,
+/// for the query engine's per-query results, and for differential testing.
+///
+/// Each BFS owns a separately allocated row of `n` slots rather than a
+/// slice of one contiguous `batch × n` matrix. Two reasons:
+///
+/// * `on_found` stores into every row whose bit is set in `bfs_set` at the
+///   same vertex offset. In a single matrix those stores sit exactly `n`
+///   slots apart; when `n` is a power of two (every Kronecker graph) the
+///   stride is `2^k` bytes, so up to `W × 64` stores per vertex land in
+///   the same cache sets and evict each other. Separately allocated rows
+///   share no fixed stride: the allocator's chunk headers shift each
+///   row's offset within a page.
+/// * [`into_distances`](Self::into_distances) hands each row out as its
+///   own `Vec<u32>` in place, without copying: a batch never holds the
+///   traversal's rows and the delivered results at the same time.
 pub struct MsDistanceVisitor<const W: usize> {
-    dist: Vec<AtomicU32>,
-    n: usize,
-    batch: usize,
+    rows: Vec<Vec<AtomicU32>>,
 }
 
 impl<const W: usize> MsDistanceVisitor<W> {
@@ -177,23 +189,35 @@ impl<const W: usize> MsDistanceVisitor<W> {
     /// Panics if `batch > W * 64`.
     pub fn new(n: usize, batch: usize) -> Self {
         assert!(batch <= W * 64, "batch exceeds bitset width");
-        let mut dist = Vec::with_capacity(n * batch);
-        dist.resize_with(n * batch, || AtomicU32::new(UNREACHED));
-        Self { dist, n, batch }
+        let rows = (0..batch)
+            .map(|_| {
+                let mut row = Vec::with_capacity(n);
+                row.resize_with(n, || AtomicU32::new(UNREACHED));
+                row
+            })
+            .collect();
+        Self { rows }
     }
 
     /// Distance of `v` in BFS `i` of the batch.
     pub fn distance(&self, i: usize, v: VertexId) -> u32 {
-        assert!(i < self.batch);
-        self.dist[i * self.n + v as usize].load(Ordering::Relaxed)
+        self.rows[i][v as usize].load(Ordering::Relaxed)
     }
 
-    /// Distance array of BFS `i`.
+    /// Snapshot of the distance array of BFS `i`.
     pub fn distances_of(&self, i: usize) -> Vec<u32> {
-        assert!(i < self.batch);
-        self.dist[i * self.n..(i + 1) * self.n]
+        self.rows[i]
             .iter()
             .map(|d| d.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Consumes the visitor into one distance vector per BFS, in batch
+    /// order. Each vector reuses its row's allocation.
+    pub fn into_distances(self) -> Vec<Vec<u32>> {
+        self.rows
+            .into_iter()
+            .map(|row| row.into_iter().map(AtomicU32::into_inner).collect())
             .collect()
     }
 }
@@ -202,8 +226,8 @@ impl<const W: usize> MsVisitor<W> for MsDistanceVisitor<W> {
     #[inline]
     fn on_found(&self, v: VertexId, dist: u32, bfs_set: Bits<W>) {
         for i in bfs_set.ones() {
-            if i < self.batch {
-                self.dist[i * self.n + v as usize].store(dist, Ordering::Relaxed);
+            if let Some(row) = self.rows.get(i) {
+                row[v as usize].store(dist, Ordering::Relaxed);
             }
         }
     }
@@ -331,6 +355,72 @@ mod tests {
         assert_eq!(v.distance(1, 1), 4);
         assert_eq!(v.distance(0, 2), UNREACHED);
         assert_eq!(v.distances_of(1), vec![UNREACHED, 4, 9]);
+    }
+
+    /// Fills a `W = 2` visitor for `batch` BFSs over `n` vertices, with
+    /// every bit of the 128-wide set raised so bits `>= batch` are
+    /// exercised too.
+    fn filled_ms_visitor(n: usize, batch: usize) -> MsDistanceVisitor<2> {
+        let v: MsDistanceVisitor<2> = MsDistanceVisitor::new(n, batch);
+        for u in 0..n as VertexId {
+            v.on_found(u, u % 7, Bits::<2>::first_n(128));
+            if u % 3 == 0 {
+                // A later, different distance for one BFS only.
+                v.on_found(u, 100 + u, Bits::<2>::single(u as usize % batch));
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn ms_into_distances_matches_distances_of() {
+        for n in [4096usize, 1001] {
+            let batch = 100;
+            let v = filled_ms_visitor(n, batch);
+            let snapshots: Vec<Vec<u32>> = (0..batch).map(|i| v.distances_of(i)).collect();
+            let rows = v.into_distances();
+            assert_eq!(rows.len(), batch, "n {n}");
+            assert_eq!(rows, snapshots, "n {n}");
+            for (i, row) in rows.iter().enumerate() {
+                for (u, &d) in row.iter().enumerate() {
+                    let want = if u % 3 == 0 && u % batch == i {
+                        100 + u as u32
+                    } else {
+                        u as u32 % 7
+                    };
+                    assert_eq!(d, want, "n {n} row {i} vertex {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ms_distance_visitor_ignores_bits_beyond_batch() {
+        for n in [4096usize, 1001] {
+            let v: MsDistanceVisitor<2> = MsDistanceVisitor::new(n, 3);
+            v.on_found(5, 2, Bits::<2>::single(3) | Bits::<2>::single(127));
+            v.on_found(6, 1, Bits::<2>::first_n(128));
+            let rows = v.into_distances();
+            assert_eq!(rows.len(), 3);
+            for row in &rows {
+                assert_eq!(row.len(), n);
+                assert_eq!(row[5], UNREACHED, "n {n}");
+                assert_eq!(row[6], 1, "n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn ms_into_distances_reuses_row_allocations() {
+        for n in [4096usize, 1001] {
+            let v = filled_ms_visitor(n, 64);
+            let before: Vec<*const AtomicU32> = v.rows.iter().map(|r| r.as_ptr()).collect();
+            let after: Vec<*const u32> = v.into_distances().iter().map(|r| r.as_ptr()).collect();
+            assert_eq!(before.len(), after.len());
+            for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+                assert_eq!(*b as usize, *a as usize, "n {n}: row {i} was copied");
+            }
+        }
     }
 
     #[test]
