@@ -20,7 +20,7 @@ use pbfs_core::UNREACHED;
 use pbfs_graph::labeling::LabelingScheme;
 use pbfs_graph::stats::{estimate_diameter, ComponentInfo, GraphStats};
 use pbfs_graph::{gen, io, CsrGraph};
-use pbfs_sched::WorkerPool;
+use pbfs_sched::{publish_configured_workers, WorkerPool};
 
 use crate::args::{Args, USAGE};
 
@@ -193,6 +193,7 @@ fn bfs(args: &Args) -> Result<(), String> {
     }
     let algo = args.get("algo").unwrap_or("sms-bit");
     let w = workers(args)?;
+    publish_configured_workers(w);
     let pool = WorkerPool::new(w);
     let opts = bfs_options(args)?;
     let n = g.num_vertices();
@@ -274,6 +275,7 @@ fn centrality(args: &Args) -> Result<(), String> {
     let measure = args.require("measure")?;
     let top: usize = args.num("top", 10)?;
     let w = workers(args)?;
+    publish_configured_workers(w);
     let pool = WorkerPool::new(w);
     let opts = bfs_options(args)?;
     let sources: Vec<u32> = (0..g.num_vertices() as u32).collect();
@@ -719,6 +721,7 @@ fn profile(args: &Args) -> Result<(), String> {
         return Err(format!("source {source} out of range"));
     }
     let w = workers(args)?;
+    publish_configured_workers(w);
     let pool = WorkerPool::new(w);
     let opts = bfs_options(args)?.instrumented();
     // Byte-volume estimates use the graph's real edge factor, not the

@@ -15,6 +15,9 @@
 //!   query waits for co-batched company; a flush that would run a single
 //!   query degenerates to [`SmsPbfsBit`], the
 //!   representation the paper shows is strictly better at width 1.
+//! * A flush whose work (queries × directed edges) is below
+//!   [`INLINE_FLUSH_WORK`] runs on the dispatcher thread alone: waking the
+//!   pool for every BFS phase costs more CPU than it saves on such flushes.
 //! * Per-batch [`TraversalStats`] are aggregated into engine-level
 //!   latency/throughput counters ([`EngineStats`]).
 //!
@@ -98,6 +101,24 @@ use crate::visitor::{DistanceVisitor, MsDistanceVisitor};
 /// Batch widths the dispatcher may choose from, in preference order.
 /// Each is `W × 64` for a supported bitset width `W ∈ {1, 2, 4, 8}`.
 pub const BATCH_WIDTHS: [usize; 4] = [64, 128, 256, 512];
+
+/// Estimated work (queries × directed edges of the pinned epoch's base
+/// CSR) below which a flush runs its kernel on the dispatcher thread
+/// alone instead of the shard's worker pool.
+///
+/// Every BFS phase is one `parallel_for`, which on a pool with spawned
+/// workers is a cross-core wake-up and barrier. On a Kronecker scale-14
+/// graph (426,298 directed edges) on 2 vCPUs, one thread costs less CPU
+/// than a 2-worker pool for flushes of up to 3 queries, while the pool
+/// already wins wall time from 2 queries on. The threshold admits flushes
+/// of 1 and 2 there, so it is chosen for CPU: a 2-query flush trades
+/// about 0.4 ms more wall time for about 0.75 ms less CPU. Any graph with
+/// ≥ 2²⁰ directed edges runs every flush on the pool.
+///
+/// The constant was calibrated only with 2 workers on 2 vCPUs; its effect
+/// on wall time with larger pools has not been measured. See DESIGN.md
+/// § Narrow flushes.
+pub const INLINE_FLUSH_WORK: usize = 1 << 20;
 
 /// Always-on engine metrics in the global telemetry registry.
 struct EngineMetrics {
@@ -198,7 +219,8 @@ pub struct EngineConfig {
     /// ([`Self::shards`] > 1) this total is dealt over the shards in the
     /// contiguous blocks of [`pbfs_sched::Topology`], each shard's
     /// dispatcher owning its block as a private pool (clamped to ≥ 1
-    /// worker per shard).
+    /// worker per shard). Flushes below [`INLINE_FLUSH_WORK`] use only
+    /// the dispatcher thread.
     pub workers: usize,
     /// Engine shards (simulated sockets). 1 — the default — is the classic
     /// single-dispatcher engine. Above 1, submissions scatter round-robin
@@ -235,9 +257,9 @@ pub struct EngineConfig {
     pub autotune: bool,
     /// Fault-injection hook for tests and chaos drills: invoked inside the
     /// batch's panic-isolation scope just before execution, with the
-    /// shared pool and the batch's sources. A hook that panics — or
-    /// dispatches a panicking job on the pool — fails the batch exactly
-    /// like a visitor panic would.
+    /// shard's pool (whatever the flush's size) and the batch's sources.
+    /// A hook that panics — or dispatches a panicking job on the pool —
+    /// fails the batch exactly like a visitor panic would.
     pub fault_hook: Option<fn(&WorkerPool, &[VertexId])>,
     /// Tuning knobs passed to the underlying traversals.
     pub bfs: BfsOptions,
@@ -680,6 +702,11 @@ impl QueryEngine {
         // Clamped to the partition layer's 255-node ceiling (node ids are
         // u8) so a huge `shards` value degrades instead of panicking.
         let nshards = config.shards.clamp(1, 255);
+        pbfs_sched::publish_configured_workers(
+            (0..nshards)
+                .map(|s| WorkerPool::shard_workers(nshards, config.workers.max(1), s))
+                .sum(),
+        );
         // The partitioned mirror exists only under sharding; the classic
         // single-shard engine keeps traversing the plain CSR byte-for-byte
         // as before. Workers and split size are clamped exactly as the
@@ -962,6 +989,10 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
     // placement) and owns this shard's block of the worker deal; with one
     // shard this is exactly the classic `WorkerPool::new(workers)`.
     let mut pool = WorkerPool::for_shard(shared.shards.len(), config.workers.max(1), shard);
+    // Caller-only pool for flushes below `INLINE_FLUSH_WORK`: it spawns no
+    // thread, runs every loop inline on this dispatcher, and never
+    // poisons (a panic unwinds straight to the batch's catch_unwind).
+    let inline_pool = WorkerPool::new(1);
     let config_cap = config.width_cap();
     // Effective width cap: starts at the configured cap and is lowered by
     // the tuner when observed ns/query says a wide batch is hurting.
@@ -1100,6 +1131,14 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
         // iteration — the torn-graph freedom the chaos oracle checks.
         let snap = shared.store.snapshot();
         rec.mark_ctx(lane, EventKind::EpochPin, snap.epoch(), width as u64, qset);
+        let work = sources
+            .len()
+            .saturating_mul(snap.base().num_directed_edges());
+        let kernel_pool = if work < INLINE_FLUSH_WORK {
+            &inline_pool
+        } else {
+            &pool
+        };
         // Panic isolation: a panic anywhere in the traversal or a user
         // visitor (surfaced by the pool from any worker) fails only this
         // batch — and under sharding only this shard's batch: the other
@@ -1122,24 +1161,24 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
                 // so results are bit-identical across shard counts by one
                 // determinism argument (see `crate::sharded`).
                 if snap.has_deltas() {
-                    states.run_sharded(n, &sv, width, &pool, &sources, &opts)
+                    states.run_sharded(n, &sv, width, kernel_pool, &sources, &opts)
                 } else {
                     let part: &PartitionedCsr = snap.part().expect("sharded view implies mirror");
-                    states.run_sharded(n, part, width, &pool, &sources, &opts)
+                    states.run_sharded(n, part, width, kernel_pool, &sources, &opts)
                 }
             } else if width == 1 {
                 let bfs = states.sms.get_or_insert_with(|| SmsPbfsBit::new(n));
                 let visitor = DistanceVisitor::new(n);
                 let stats = if snap.has_deltas() {
-                    bfs.run(&snap, &pool, sources[0], &opts, &visitor)
+                    bfs.run(&snap, kernel_pool, sources[0], &opts, &visitor)
                 } else {
-                    bfs.run(&**snap.base(), &pool, sources[0], &opts, &visitor)
+                    bfs.run(&**snap.base(), kernel_pool, sources[0], &opts, &visitor)
                 };
                 (stats, vec![visitor.into_distances()])
             } else if snap.has_deltas() {
-                states.run_ms(n, &snap, width, &pool, &sources, &opts)
+                states.run_ms(n, &snap, width, kernel_pool, &sources, &opts)
             } else {
-                states.run_ms(n, &**snap.base(), width, &pool, &sources, &opts)
+                states.run_ms(n, &**snap.base(), width, kernel_pool, &sources, &opts)
             }
         }));
         let (stats, results) = match outcome {
@@ -1338,6 +1377,14 @@ mod tests {
     use super::*;
     use pbfs_graph::gen;
 
+    /// Every test here that builds an engine holds this: all engines move
+    /// the process-global `shard="0"` counters, which the sharded tests
+    /// diff exactly.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        lock(&SERIAL)
+    }
+
     fn engine(g: CsrGraph) -> QueryEngine {
         QueryEngine::from_graph(g, EngineConfig::default().with_workers(2))
     }
@@ -1384,12 +1431,14 @@ mod tests {
 
     #[test]
     fn empty_graph_is_an_error_not_a_panic() {
+        let _serial = serial();
         let e = engine(CsrGraph::from_edges(0, &[]));
         assert_eq!(e.submit(0).unwrap_err(), EngineError::EmptyGraph);
     }
 
     #[test]
     fn out_of_range_source_is_an_error_not_a_panic() {
+        let _serial = serial();
         let e = engine(gen::path(10));
         let err = e.submit(10).unwrap_err();
         assert_eq!(
@@ -1406,6 +1455,7 @@ mod tests {
 
     #[test]
     fn singleton_flush_matches_oracle() {
+        let _serial = serial();
         let g = gen::Kronecker::graph500(7).seed(3).generate();
         let oracle = crate::textbook::bfs(&g, 5).distances;
         let e = engine(g);
@@ -1416,6 +1466,7 @@ mod tests {
 
     #[test]
     fn dropped_handle_mid_flight_is_harmless() {
+        let _serial = serial();
         let g = gen::uniform(300, 900, 1);
         let e = engine(g);
         for s in 0..50 {
@@ -1429,6 +1480,7 @@ mod tests {
 
     #[test]
     fn stats_count_batches_and_queries() {
+        let _serial = serial();
         let g = gen::path(64);
         let mut e = engine(g);
         let handles: Vec<_> = (0..10).map(|s| e.submit(s).unwrap()).collect();
@@ -1451,6 +1503,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_errors() {
+        let _serial = serial();
         let g = gen::path(4);
         let mut e = engine(g);
         e.shutdown();
@@ -1459,6 +1512,7 @@ mod tests {
 
     #[test]
     fn overload_beyond_batch_capacity_answers_everything() {
+        let _serial = serial();
         // Far more in-flight queries than max_batch × workers: the
         // dispatcher must work the backlog off in successive batches
         // without losing or cross-wiring any of them.
@@ -1505,6 +1559,7 @@ mod tests {
 
     #[test]
     fn sharded_singleton_flush_matches_oracle() {
+        let _serial = serial();
         let g = gen::Kronecker::graph500(7).seed(9).generate();
         let oracle = crate::textbook::bfs(&g, 3).distances;
         let cfg = EngineConfig::default().with_workers(2).with_shards(2);
@@ -1514,6 +1569,7 @@ mod tests {
 
     #[test]
     fn sharded_engine_answers_every_query_exactly() {
+        let _serial = serial();
         // Enough queries that both shards flush real multi-source batches;
         // every result must equal the textbook oracle for its source.
         let g = gen::uniform(400, 1600, 7);
@@ -1553,6 +1609,7 @@ mod tests {
 
     #[test]
     fn poisoned_shard_fails_only_its_own_batches() {
+        let _serial = serial();
         // Source 0 is submitted only at even submission indices, which
         // round-robin lands on shard 0; the hook poisons every batch
         // containing it. Shard 0's queries must all fail with BatchFailed
@@ -1599,6 +1656,7 @@ mod tests {
 
     #[test]
     fn shutdown_flushes_pending_queries() {
+        let _serial = serial();
         let g = gen::grid(8, 8);
         let oracle = crate::textbook::bfs(&g, 0).distances;
         // A long deadline would stall these queries; shutdown must flush

@@ -38,7 +38,7 @@ pub mod task;
 pub mod topology;
 
 pub use instrument::{RunStats, WorkerRun};
-pub use pool::WorkerPool;
+pub use pool::{publish_configured_workers, WorkerPool};
 pub use task::{aligned_split, TaskQueues, DEFAULT_SPLIT_SIZE};
 pub use topology::Topology;
 

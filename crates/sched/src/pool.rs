@@ -102,20 +102,22 @@ impl WorkerPool {
     /// # Panics
     /// Panics if `shards == 0` or `shard >= shards`.
     pub fn for_shard(shards: usize, workers: usize, shard: usize) -> Self {
+        Self::new(Self::shard_workers(shards, workers, shard))
+    }
+
+    /// Workers in the pool [`Self::for_shard`] builds for `shard`.
+    ///
+    /// # Panics
+    /// Panics if `shards == 0` or `shard >= shards`.
+    pub fn shard_workers(shards: usize, workers: usize, shard: usize) -> usize {
         let topo = Topology::new(shards, workers.max(1));
         assert!(shard < shards, "shard {shard} out of range for {shards}");
-        Self::new(topo.workers_on(shard).len().max(1))
+        topo.workers_on(shard).len().max(1)
     }
 
     /// Creates a pool whose workers follow `topology`.
     pub fn with_topology(topology: Topology) -> Self {
         let num_workers = topology.num_workers();
-        // Sizes dashboard rates (`pbfs top` divides per-worker counters by
-        // this). Last-constructed pool wins, which matches the one-pool
-        // lifecycle of the CLI and engine.
-        pbfs_telemetry::registry()
-            .gauge("pbfs_pool_workers", "Workers in the most recent pool")
-            .set(num_workers as i64);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 epoch: 0,
@@ -443,6 +445,20 @@ impl WorkerPool {
         });
         collector.finish(start_wall.elapsed().as_nanos() as u64)
     }
+}
+
+/// Publishes `total` — the BFS workers the process was configured with,
+/// summed over every pool it serves queries from — as the
+/// `pbfs_pool_workers` gauge. Called once by whoever knows that total
+/// (the query engine, each CLI command that builds a pool), never by pool
+/// construction: short-lived or caller-only pools must not overwrite it.
+pub fn publish_configured_workers(total: usize) {
+    pbfs_telemetry::registry()
+        .gauge(
+            "pbfs_pool_workers",
+            "BFS workers the process was configured with, over all its pools",
+        )
+        .set(total as i64);
 }
 
 impl Drop for WorkerPool {

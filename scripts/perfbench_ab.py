@@ -1,0 +1,331 @@
+#!/usr/bin/env python3
+"""A/B runs of the end-to-end benchmark: a parent revision against the working tree.
+
+Implements the measuring protocol of a performance claim: the parent
+revision and the working tree each build the benchmark declared in
+``BENCHMARK.json`` from their own sources, then run it in alternating
+pairs on the same workload and seed. For every end-to-end metric the
+script prints each side's median and quartiles and the change's wins and
+ties, and checks:
+
+* the claim (``--claim METRIC``): the change wins at least nine tenths of
+  the pairs (ties count for neither side), and the medians differ in the
+  metric's better direction by more than the parent's interquartile
+  range;
+* every metric's bound: the change's median is no worse than the
+  parent's by more than the ``bound`` fraction ``BENCHMARK.json`` fixes.
+  Where the parent's own interquartile range is wider than the bound the
+  metric is unresolved, unless every change run reads better than every
+  parent run.
+
+Every run must report ``"correct": true`` and zero failed queries. The
+exit status is nonzero when any run is incorrect, a query failed, a
+bound is exceeded or unresolved, or the claim is not met.
+
+The parent is exported with ``git archive REV | tar -x`` (no worktree)
+into a scratch directory; each side builds into its own
+``CARGO_TARGET_DIR`` there. Pass ``--workdir`` to keep the directory and
+reuse its builds across invocations.
+
+Usage:
+    perfbench_ab.py --parent REV --workload W [--pairs 10] [--seed-base S]
+                    [--claim METRIC] [--workdir DIR]
+    perfbench_ab.py --self-test
+"""
+
+import argparse
+import json
+import math
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_benchmark(path):
+    with open(path) as f:
+        bench = json.load(f)
+    for field in ("command", "run_seconds", "end_to_end"):
+        if field not in bench:
+            sys.exit(f"{path}: missing {field!r}")
+    return bench
+
+
+def parse_result(stdout):
+    """The benchmark's result: the JSON object on the last non-empty line."""
+    lines = [l for l in stdout.splitlines() if l.strip()]
+    if not lines:
+        return None
+    try:
+        doc = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(doc, dict) or "metrics" not in doc:
+        return None
+    return {
+        "correct": doc.get("correct") is True,
+        "attempted": doc.get("attempted", 0),
+        "failed": doc.get("failed", 0),
+        "metrics": {k: v["value"] for k, v in doc["metrics"].items()},
+    }
+
+
+def run_problem(side, seed, returncode, result):
+    """Why a run cannot count, or None when it is a correct run."""
+    if result is None:
+        return f"{side} seed {seed}: no result line (exit {returncode})"
+    if returncode != 0 or not result["correct"]:
+        return f"{side} seed {seed}: incorrect run (exit {returncode})"
+    if result["failed"]:
+        return f"{side} seed {seed}: {result['failed']} failed queries"
+    return None
+
+
+def quartiles(values):
+    """(q1, median, q3), inclusive linear interpolation."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def compare(bench, pairs, claim=None):
+    """Judges paired runs. ``pairs`` is a list of (parent, change) metric
+    dicts taken on the same seed. Returns (rows, problems)."""
+    rows, problems = [], []
+    names = [m["name"] for m in bench["end_to_end"]]
+    if claim is not None and claim not in names:
+        problems.append(f"claimed metric {claim!r} is not an end-to-end metric "
+                        f"of BENCHMARK.json ({', '.join(names)})")
+    for spec in bench["end_to_end"]:
+        name = spec["name"]
+        lower = spec.get("better", "lower") == "lower"
+        par = [p[name] for p, _ in pairs]
+        chg = [c[name] for _, c in pairs]
+        pq1, pmed, pq3 = quartiles(par)
+        cq1, cmed, cq3 = quartiles(chg)
+        better = (lambda c, p: c < p) if lower else (lambda c, p: c > p)
+        wins = sum(1 for p, c in zip(par, chg) if better(c, p))
+        ties = sum(1 for p, c in zip(par, chg) if c == p)
+        iqr = pq3 - pq1
+        worse = (cmed - pmed) if lower else (pmed - cmed)
+        rel_worse = worse / pmed if pmed else (math.inf if worse > 0 else 0.0)
+        separated = (max(chg) < min(par)) if lower else (min(chg) > max(par))
+        bound = spec["bound"]
+        if pmed and iqr / abs(pmed) > bound and not separated:
+            verdict = "unresolved"
+            problems.append(f"{name}: parent spread {iqr / abs(pmed):.1%} exceeds "
+                            f"the bound {bound:.0%}")
+        elif rel_worse > bound:
+            verdict = "REGRESSED"
+            problems.append(f"{name}: change median worse by {rel_worse:.1%} "
+                            f"(bound {bound:.0%})")
+        else:
+            verdict = "within bound"
+        if name == claim:
+            need = math.ceil(0.9 * len(pairs))
+            gap = -worse
+            met = wins >= need and gap > iqr
+            verdict += "; claim " + ("met" if met else "NOT met")
+            if not met:
+                problems.append(f"claim on {name} not met: {wins}/{len(pairs)} wins "
+                                f"(need {need}), median gap {gap:.6g} vs parent "
+                                f"IQR {iqr:.6g}")
+        rows.append({
+            "metric": name, "unit": spec.get("unit", ""),
+            "parent": (pmed, pq1, pq3), "change": (cmed, cq1, cq3),
+            "wins": wins, "ties": ties, "pairs": len(pairs), "verdict": verdict,
+        })
+    return rows, problems
+
+
+def render(rows):
+    out = [f"{'metric':<20} {'parent median [q1-q3]':>30} {'change median [q1-q3]':>30}"
+           f" {'wins':>5} {'ties':>5}  verdict"]
+    for r in rows:
+        side = lambda t: f"{t[0]:.4g} [{t[1]:.4g}-{t[2]:.4g}] {r['unit']}"
+        out.append(f"{r['metric']:<20} {side(r['parent']):>30} {side(r['change']):>30}"
+                   f" {r['wins']:>2}/{r['pairs']:<2} {r['ties']:>5}  {r['verdict']}")
+    return "\n".join(out)
+
+
+def manifest_of(bench):
+    cmd = bench["command"]
+    return cmd[cmd.index("--manifest-path") + 1]
+
+
+def export(rev, dest):
+    os.makedirs(dest, exist_ok=True)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        sys.exit(f"git archive {rev} failed")
+
+
+def build(src, target, manifest):
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    subprocess.run(["cargo", "build", "--release", "--quiet", "--offline",
+                    "--manifest-path", os.path.join(src, manifest)],
+                   cwd=src, env=env, check=True)
+
+
+def run(bench, src, target, workload, seed):
+    """One benchmark run with the command BENCHMARK.json declares."""
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    argv = bench["command"] + ["--workload", workload, "--seed", str(seed),
+                               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=src, env=env, capture_output=True, text=True)
+    return proc.returncode, parse_result(proc.stdout)
+
+
+def self_test():
+    """Exercises parsing and the verdicts on canned outputs."""
+    bench = {
+        "command": ["true"], "run_seconds": 20,
+        "end_to_end": [
+            {"name": "cpu_ms_per_query", "unit": "ms", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.25},
+        ],
+    }
+    out = ("workload kron-paced seed 1 | ...\n  cpu_ms_per_query  1.5 ms (n=4000)\n"
+           '{"correct": true, "attempted": 4000, "failed": 0, "metrics": '
+           '{"cpu_ms_per_query": {"value": 1.5, "unit": "ms"}, '
+           '"peak_rss_mb": {"value": 15.9, "unit": "MiB"}}}\n')
+    r = parse_result(out)
+    assert r == {"correct": True, "attempted": 4000, "failed": 0,
+                 "metrics": {"cpu_ms_per_query": 1.5, "peak_rss_mb": 15.9}}, r
+    assert run_problem("change", 1, 0, r) is None
+
+    # Incorrect runs, failed queries and missing result lines never count.
+    bad = dict(r, correct=False)
+    assert "incorrect" in run_problem("change", 1, 1, bad)
+    assert "failed queries" in run_problem("parent", 2, 0, dict(r, failed=3))
+    assert parse_result("panicked\n") is None
+    assert "no result line" in run_problem("parent", 3, 101, None)
+
+    def pairs(par, chg, rss=(15.9, 15.9)):
+        return [({"cpu_ms_per_query": p, "peak_rss_mb": rss[0]},
+                 {"cpu_ms_per_query": c, "peak_rss_mb": rss[1]}) for p, c in zip(par, chg)]
+
+    parent = [1.36, 1.45, 1.51, 1.73, 1.48, 1.55, 1.40, 1.60, 1.50, 1.52]
+    # A clear gain: 10/10 wins, median gap far beyond the parent's IQR.
+    rows, problems = compare(bench, pairs(parent, [p * 0.7 for p in parent]),
+                             "cpu_ms_per_query")
+    assert problems == [], problems
+    assert rows[0]["wins"] == 10 and "claim met" in rows[0]["verdict"], rows[0]
+    assert rows[1]["ties"] == 10 and rows[1]["verdict"] == "within bound", rows[1]
+
+    # Two losses out of ten: the claim fails on the win count.
+    chg = [p * 0.7 for p in parent]
+    chg[0], chg[1] = 1.9, 1.9
+    _, problems = compare(bench, pairs(parent, chg), "cpu_ms_per_query")
+    assert any("not met" in p and "8/10" in p for p in problems), problems
+
+    # Wins everywhere but a gap inside the parent's IQR: not met.
+    _, problems = compare(bench, pairs(parent, [p - 0.01 for p in parent]),
+                          "cpu_ms_per_query")
+    assert any("not met" in p for p in problems), problems
+
+    # Ties count for neither side.
+    rows, _ = compare(bench, pairs(parent, parent), "cpu_ms_per_query")
+    assert rows[0]["wins"] == 0 and rows[0]["ties"] == 10, rows[0]
+
+    # A metric worse beyond its bound is a regression, without a claim too.
+    rows, problems = compare(bench, pairs(parent, parent, rss=(15.9, 21.0)))
+    assert rows[1]["verdict"] == "REGRESSED", rows[1]
+    assert any("peak_rss_mb" in p for p in problems), problems
+
+    # Parent spread wider than the bound: unresolved, unless separated.
+    wild = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+    rows, problems = compare(bench, pairs(wild, wild))
+    assert rows[0]["verdict"] == "unresolved", rows[0]
+    rows, problems = compare(bench, pairs(wild, [0.5] * 10))
+    assert rows[0]["verdict"] == "within bound" and problems == [], (rows[0], problems)
+
+    # A claim on a metric the benchmark does not declare is refused.
+    _, problems = compare(bench, pairs(parent, parent), "qps")
+    assert any("not an end-to-end metric" in p for p in problems), problems
+
+    print(render(rows))
+    print("self-test ok: 9 scenarios passed")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="git revision to compare against (e.g. HEAD~1)")
+    ap.add_argument("--workload", help="workload name from BENCHMARK.json")
+    ap.add_argument("--pairs", type=int, default=10, help="parent/change pairs (default 10)")
+    ap.add_argument("--seed-base", type=int, default=1,
+                    help="pair i runs both sides with seed SEED_BASE + i (default 1)")
+    ap.add_argument("--claim", help="end-to-end metric the change claims to improve")
+    ap.add_argument("--workdir", help="keep exports and builds here and reuse them")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check parsing and verdicts on canned outputs and exit")
+    args = ap.parse_args()
+    if args.self_test:
+        self_test()
+        return
+    if not args.parent or not args.workload:
+        ap.error("--parent and --workload are required (or pass --self-test)")
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
+
+    bench = load_benchmark(os.path.join(ROOT, "BENCHMARK.json"))
+    names = [w["name"] for w in bench.get("workloads", [])]
+    if names and args.workload not in names:
+        ap.error(f"unknown workload {args.workload!r} (BENCHMARK.json has {', '.join(names)})")
+    manifest = manifest_of(bench)
+
+    workdir = args.workdir or tempfile.mkdtemp(prefix="perfbench-ab-")
+    try:
+        parent_src = os.path.join(workdir, "parent")
+        shutil.rmtree(parent_src, ignore_errors=True)
+        export(args.parent, parent_src)
+        sides = {
+            "parent": (parent_src, os.path.join(workdir, "parent-target")),
+            "change": (ROOT, os.path.join(workdir, "change-target")),
+        }
+        for side, (src, target) in sides.items():
+            print(f"building {side} ...", file=sys.stderr)
+            build(src, target, manifest)
+
+        pairs, problems = [], []
+        for i in range(args.pairs):
+            seed = args.seed_base + i
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            got = {}
+            for side in order:
+                code, result = run(bench, *sides[side], args.workload, seed)
+                problem = run_problem(side, seed, code, result)
+                if problem:
+                    problems.append(problem)
+                got[side] = result
+                value = result["metrics"].get(args.claim) if result and args.claim else None
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                      f"{problem or 'ok'}{'' if value is None else f', {args.claim} {value:.6g}'}",
+                      file=sys.stderr)
+            if all(got[s] is not None for s in got):
+                pairs.append((got["parent"]["metrics"], got["change"]["metrics"]))
+    finally:
+        if not args.workdir:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    print(f"workload {args.workload}, {len(pairs)} pairs, seeds {args.seed_base}.."
+          f"{args.seed_base + args.pairs - 1}, {bench['run_seconds']} s runs, parent {args.parent}")
+    if pairs:
+        rows, verdict_problems = compare(bench, pairs, args.claim)
+        print(render(rows))
+        problems += verdict_problems
+    for p in problems:
+        print(f"problem: {p}")
+    if problems:
+        sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -431,3 +431,109 @@ fn deep_sites_fire_and_are_survived() {
     assert!(fired > 0, "at least one deep site must have fired");
     pbfs::fault::clear_all();
 }
+
+/// Flushes below `INLINE_FLUSH_WORK` run on the dispatcher thread alone,
+/// so a panic armed on every spawned pool worker cannot touch them, while
+/// a flush above the threshold still runs on the shard's pool and fails.
+#[test]
+fn narrow_flushes_never_enter_a_spawned_worker() {
+    use pbfs::core::engine::INLINE_FLUSH_WORK;
+
+    let _g = guard();
+    pbfs::fault::clear_all();
+    let graph = Arc::new(gen::Kronecker::graph500(10).seed(5).generate());
+    let m = graph.num_directed_edges();
+    assert!(2 * m < INLINE_FLUSH_WORK, "2-query flushes must be narrow");
+    assert!(64 * m >= INLINE_FLUSH_WORK, "64-query flushes must be wide");
+    let n = graph.num_vertices() as u32;
+    let wide: Vec<u32> = (0..64).map(|i| (i * 13) % n).collect();
+
+    pbfs::fault::configure(
+        "sched.pool.worker",
+        FailConfig::always(FailAction::Panic(None)),
+    );
+    let worker_faults = || -> u64 {
+        pbfs::fault::stats()
+            .iter()
+            .filter(|s| s.site == "sched.pool.worker")
+            .map(|s| s.triggered)
+            .sum()
+    };
+    // Submits every source before waiting on any, so they can coalesce.
+    let answer = |engine: &QueryEngine, sources: &[u32]| {
+        let handles: Vec<_> = sources.iter().map(|&s| engine.submit(s).unwrap()).collect();
+        handles
+            .into_iter()
+            .map(|h| (h.source(), h.wait()))
+            .collect::<Vec<_>>()
+    };
+    let (narrow, fired_narrow, failed_wide, fired_wide, healed, stats) =
+        with_watchdog(Duration::from_secs(60), {
+            let graph = Arc::clone(&graph);
+            move || {
+                // The long deadline coalesces the pair into one 2-query
+                // flush; the cap flushes the 64 sources as soon as all
+                // are queued.
+                let mut engine = QueryEngine::new(
+                    Arc::clone(&graph),
+                    EngineConfig::default()
+                        .with_workers(2)
+                        .with_max_batch(64)
+                        .with_max_latency(Duration::from_millis(200)),
+                );
+                let mut narrow = answer(&engine, &[3]);
+                narrow.extend(answer(&engine, &[7, 11]));
+                let fired_narrow = worker_faults();
+                let failed_wide = answer(&engine, &wide);
+                let fired_wide = worker_faults();
+                pbfs::fault::clear_all();
+                let healed = answer(&engine, &wide);
+                engine.shutdown();
+                (
+                    narrow,
+                    fired_narrow,
+                    failed_wide,
+                    fired_wide,
+                    healed,
+                    engine.stats(),
+                )
+            }
+        });
+    pbfs::fault::clear_all();
+
+    for (s, got) in narrow {
+        assert_eq!(
+            got,
+            Ok(textbook::bfs(&graph, s).distances),
+            "narrow source {s}"
+        );
+    }
+    assert_eq!(fired_narrow, 0, "a narrow flush entered a spawned worker");
+    for (_, got) in failed_wide {
+        match got {
+            Err(EngineError::BatchFailed { reason }) => {
+                assert!(
+                    reason.contains("panicked inside a parallel loop"),
+                    "{reason}"
+                )
+            }
+            other => panic!("a wide flush must run on the pool and fail, got {other:?}"),
+        }
+    }
+    assert!(
+        fired_wide > 0,
+        "the wide flush never reached a spawned worker"
+    );
+    for (s, got) in healed {
+        assert_eq!(
+            got,
+            Ok(textbook::bfs(&graph, s).distances),
+            "healed source {s}"
+        );
+    }
+    // One singleton, one 2-query flush, one healed 64-query flush; the
+    // failed flush is not counted.
+    assert_eq!(stats.width_histogram.get(&1), Some(&1), "{stats:?}");
+    assert_eq!(stats.width_histogram.get(&64), Some(&2), "{stats:?}");
+    assert_eq!(stats.batch_failures, 1, "{stats:?}");
+}
