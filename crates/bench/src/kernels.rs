@@ -263,7 +263,7 @@ pub struct KernelOutput {
 /// The full matrix runs at the session's effective SIMD dispatch level
 /// (every row carries its name). When that level is above scalar, each
 /// Summary-mode MS-PBFS trial is immediately followed by a scalar-forced
-/// trial of the same configuration (see [`bench_ms`]), producing a paired
+/// trial of the same configuration (see `bench_ms`), producing a paired
 /// `simd: "scalar"` row per (graph, width) — the wide-bitset rows are
 /// where the vector kernels matter, and trial-level interleaving keeps
 /// the comparison immune to machine drift across the run. The dispatch

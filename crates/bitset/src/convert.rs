@@ -1,68 +1,19 @@
-//! Cross-representation frontier conversion kernels.
+//! Dense-to-sparse frontier conversion.
 //!
-//! The adaptive frontier controller (`pbfs-core::adapt`) switches between
-//! a sparse vertex queue, the dense bit/byte containers and the
-//! summary-guided scan mid-traversal. These kernels perform the
-//! migrations. All of them walk the *source* through its frontier summary
-//! (so a sparse frontier converts in O(active chunks), not O(V)) and rely
-//! on the container setters to mark the *destination* summary, which
-//! therefore stays conservative: a summary bit is set for every chunk
-//! that holds at least one active entry, possibly for more.
+//! When the adaptive frontier controller (`pbfs-core::adapt`) picks the
+//! sparse strategy for an MS-PBFS iteration, the kernel gathers the
+//! frontier state array into a sorted queue of `(vertex, bits)` pairs once
+//! and expands that instead of scanning the vertex range. The gather walks
+//! the source through its frontier summary, so a sparse frontier converts
+//! in O(active chunks), not O(V). No kernel ever converts back: the next
+//! frontier is always written into the dense state array.
 //!
-//! Gather kernels take a `cap` and return `None` instead of a list larger
-//! than it — the caller then stays on the dense representation for that
-//! iteration, so an underestimated frontier count degrades performance,
-//! never correctness.
+//! [`gather_state`] takes a `cap` and returns `None` instead of a list
+//! larger than it — the caller then stays on the dense representation for
+//! that iteration, so an underestimated frontier count degrades
+//! performance, never correctness.
 
-use crate::{AtomicBitVec, AtomicByteVec, Bits, StateArray};
-
-/// Collects the set entries of a dense bitset into a sorted sparse queue,
-/// or `None` if more than `cap` entries are active.
-pub fn gather_bits(src: &AtomicBitVec, cap: usize) -> Option<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut overflow = false;
-    src.for_each_active_chunk(0, src.len(), |cs, ce| {
-        src.for_each_set(cs, ce, true, |v| {
-            if out.len() < cap {
-                out.push(v as u32);
-            } else {
-                overflow = true;
-            }
-        });
-    });
-    (!overflow).then_some(out)
-}
-
-/// Scatters a sparse queue into a dense bitset, marking its summary.
-pub fn scatter_bits(list: &[u32], dst: &AtomicBitVec) {
-    for &v in list {
-        dst.set(v as usize);
-    }
-}
-
-/// Collects the set entries of a byte array into a sorted sparse queue,
-/// or `None` if more than `cap` entries are active.
-pub fn gather_bytes(src: &AtomicByteVec, cap: usize) -> Option<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut overflow = false;
-    src.for_each_active_chunk(0, src.len(), |cs, ce| {
-        src.for_each_set(cs, ce, true, |v| {
-            if out.len() < cap {
-                out.push(v as u32);
-            } else {
-                overflow = true;
-            }
-        });
-    });
-    (!overflow).then_some(out)
-}
-
-/// Scatters a sparse queue into a byte array, marking its summary.
-pub fn scatter_bytes(list: &[u32], dst: &AtomicByteVec) {
-    for &v in list {
-        dst.set(v as usize);
-    }
-}
+use crate::{Bits, StateArray};
 
 /// Collects the non-empty entries of a multi-source state array into a
 /// sorted sparse queue of `(vertex, bits)` pairs, or `None` if more than
@@ -70,9 +21,9 @@ pub fn scatter_bytes(list: &[u32], dst: &AtomicByteVec) {
 ///
 /// Each active chunk is scanned with one vectorized
 /// [`StateArray::nonempty_mask`] pass instead of `W` word loads per entry,
-/// so the per-entry `is_empty` test costs one bit probe. Like every
-/// conversion kernel, this must not race with writers to `src` (all call
-/// sites run between the traversal's phase barriers).
+/// so the per-entry `is_empty` test costs one bit probe. This must not
+/// race with writers to `src` (all call sites run between the traversal's
+/// phase barriers).
 pub fn gather_state<const W: usize>(
     src: &StateArray<W>,
     cap: usize,
@@ -80,7 +31,7 @@ pub fn gather_state<const W: usize>(
     let mut out = Vec::new();
     let mut overflow = false;
     src.for_each_active_chunk(0, src.len(), |cs, ce| {
-        // SAFETY: conversions run between phase barriers with no concurrent
+        // SAFETY: the gather runs between phase barriers with no concurrent
         // writers to the source array (see the doc contract above).
         let mut mask = unsafe { src.nonempty_mask(cs, ce) };
         while mask != 0 {
@@ -96,174 +47,32 @@ pub fn gather_state<const W: usize>(
     (!overflow).then_some(out)
 }
 
-/// Scatters `(vertex, bits)` pairs into a state array, marking its
-/// summary. Empty bit patterns are skipped so the summary only gains
-/// marks for chunks that really receive entries.
-pub fn scatter_state<const W: usize>(entries: &[(u32, Bits<W>)], dst: &StateArray<W>) {
-    for &(v, b) in entries {
-        if !b.is_empty() {
-            dst.set(v as usize, b);
-        }
-    }
-}
-
-/// Migrates membership from a dense bitset into a byte array.
-///
-/// Walks whole summary chunks of the source; the destination must cover
-/// the same vertex range. Pre-existing destination entries are kept (the
-/// migration is an OR), and the destination summary stays conservative.
-pub fn bits_to_bytes(src: &AtomicBitVec, dst: &AtomicByteVec) {
-    assert_eq!(src.len(), dst.len(), "containers cover different ranges");
-    src.for_each_active_chunk(0, src.len(), |cs, ce| {
-        src.for_each_set(cs, ce, true, |v| {
-            dst.set(v);
-        });
-    });
-}
-
-/// Migrates membership from a byte array into a dense bitset.
-///
-/// The chunk-aligned mirror of [`bits_to_bytes`].
-pub fn bytes_to_bits(src: &AtomicByteVec, dst: &AtomicBitVec) {
-    assert_eq!(src.len(), dst.len(), "containers cover different ranges");
-    src.for_each_active_chunk(0, src.len(), |cs, ce| {
-        src.for_each_set(cs, ce, true, |v| {
-            dst.set(v);
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SUMMARY_CHUNK;
-
-    /// The satellite's boundary populations: empty, singletons around the
-    /// first word boundary, and a full word plus one.
-    fn boundary_populations(len: usize) -> Vec<Vec<usize>> {
-        let mut pops = vec![
-            vec![],
-            vec![0],
-            vec![len - 1],
-            (0..63.min(len)).collect::<Vec<_>>(),
-            (0..64.min(len)).collect::<Vec<_>>(),
-            (0..65.min(len)).collect::<Vec<_>>(),
-        ];
-        pops.dedup();
-        pops
-    }
 
     #[test]
-    fn bits_roundtrip_boundary_cases() {
-        // A partial tail word: len deliberately not a multiple of 64.
-        for len in [65usize, 100, 1000 + 17] {
-            for pop in boundary_populations(len) {
-                let src = AtomicBitVec::new(len);
-                for &i in &pop {
-                    src.set(i);
-                }
-                let list = gather_bits(&src, len).unwrap();
-                assert_eq!(list.len(), pop.len(), "len={len} pop={pop:?}");
-                let back = AtomicBitVec::new(len);
-                scatter_bits(&list, &back);
-                for i in 0..len {
-                    assert_eq!(back.get(i), src.get(i), "len={len} entry {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bytes_roundtrip_boundary_cases() {
-        for len in [65usize, 129] {
-            for pop in boundary_populations(len) {
-                let src = AtomicByteVec::new(len);
-                for &i in &pop {
-                    src.set(i);
-                }
-                let list = gather_bytes(&src, len).unwrap();
-                let back = AtomicByteVec::new(len);
-                scatter_bytes(&list, &back);
-                for i in 0..len {
-                    assert_eq!(back.get(i), src.get(i), "len={len} entry {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn state_roundtrip_preserves_bit_patterns() {
+    fn gather_preserves_bit_patterns() {
         let src: StateArray<2> = StateArray::new(200);
         src.set(0, Bits::single(0));
         src.set(63, Bits::single(100));
         src.set(64, Bits::single(64) | Bits::single(1));
         src.set(199, Bits::first_n(128));
         let entries = gather_state(&src, 200).unwrap();
-        assert_eq!(entries.len(), 4);
-        let back: StateArray<2> = StateArray::new(200);
-        scatter_state(&entries, &back);
-        for v in 0..200 {
-            assert_eq!(back.get(v), src.get(v), "entry {v}");
+        let vertices: Vec<u32> = entries.iter().map(|e| e.0).collect();
+        assert_eq!(vertices, vec![0, 63, 64, 199]);
+        for (v, bits) in entries {
+            assert_eq!(bits, src.get(v as usize), "entry {v}");
         }
     }
 
     #[test]
     fn gather_cap_overflow_returns_none() {
-        let src = AtomicBitVec::new(300);
-        for i in 0..10 {
-            src.set(i * 7);
-        }
-        assert!(gather_bits(&src, 9).is_none());
-        assert_eq!(gather_bits(&src, 10).unwrap().len(), 10);
-
-        let bytes = AtomicByteVec::new(300);
-        for i in 0..10 {
-            bytes.set(i * 7);
-        }
-        assert!(gather_bytes(&bytes, 9).is_none());
-
         let state: StateArray<1> = StateArray::new(300);
         for i in 0..10 {
             state.set(i * 7, Bits::single(3));
         }
         assert!(gather_state(&state, 9).is_none());
         assert_eq!(gather_state(&state, 10).unwrap().len(), 10);
-    }
-
-    #[test]
-    fn migration_keeps_summary_conservative() {
-        // Partial tail word (len % 64 != 0) plus a populated tail entry.
-        let len = 3 * SUMMARY_CHUNK + 5;
-        let src = AtomicBitVec::new(len);
-        for i in [0, 63, 64, 65, len - 1] {
-            src.set(i);
-        }
-        let dst = AtomicByteVec::new(len);
-        bits_to_bytes(&src, &dst);
-        // Every chunk holding a migrated entry must be marked in the
-        // destination summary: scanning via the summary finds them all.
-        let mut seen = Vec::new();
-        dst.for_each_active_chunk(0, len, |cs, ce| {
-            dst.for_each_set(cs, ce, true, |v| seen.push(v));
-        });
-        assert_eq!(seen, vec![0, 63, 64, 65, len - 1]);
-
-        let back = AtomicBitVec::new(len);
-        bytes_to_bits(&dst, &back);
-        let mut round = Vec::new();
-        back.for_each_active_chunk(0, len, |cs, ce| {
-            back.for_each_set(cs, ce, true, |v| round.push(v));
-        });
-        assert_eq!(round, vec![0, 63, 64, 65, len - 1]);
-    }
-
-    #[test]
-    fn migration_is_an_or_over_existing_entries() {
-        let src = AtomicBitVec::new(128);
-        src.set(10);
-        let dst = AtomicByteVec::new(128);
-        dst.set(90);
-        bits_to_bytes(&src, &dst);
-        assert!(dst.get(10) && dst.get(90));
     }
 }

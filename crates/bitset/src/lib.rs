@@ -22,9 +22,10 @@
 //!   maintained by `fetch_or` on first activation, that lets sparse
 //!   frontier scans skip inactive chunks in O(active / 4096) instead of
 //!   O(V / 64) word loads; see [`summary`].
-//! * [`convert`] — summary-guided conversion kernels between the sparse
-//!   queue, bit, byte and state-array representations, used by the online
-//!   adaptive frontier controller (`pbfs-core::adapt`).
+//! * [`convert`] — the summary-guided gather of a state array into the
+//!   sparse `(vertex, bits)` queue that MS-PBFS expands when the online
+//!   adaptive frontier controller (`pbfs-core::adapt`) picks the sparse
+//!   strategy.
 //! * [`prefetch`] — a safe software-prefetch shim (no-op off x86-64) used
 //!   by the traversal kernels to hide the CSR offset → adjacency →
 //!   destination-state pointer-chase latency.

@@ -28,7 +28,7 @@
 //!
 //! Every primitive is a pure bitwise function of its inputs: OR, AND-NOT and
 //! zero-tests have no rounding, carries or lane interactions, so any vector
-//! decomposition computes exactly the scalar result. The [`scalar`]
+//! decomposition computes exactly the scalar result. The `scalar`
 //! implementations are the semantic reference; proptests assert every level
 //! bit-identical on random inputs including unaligned lengths and tail
 //! words, and `tests/cross_algorithms.rs` re-proves it end-to-end through

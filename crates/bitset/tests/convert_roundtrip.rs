@@ -1,107 +1,62 @@
-//! Property tests: every conversion path between the sparse queue, bit,
-//! byte and state-array frontier representations preserves membership
-//! exactly, and destination summaries stay conservative (scanning via the
-//! summary after a migration finds every entry).
+//! Property tests for `convert::gather_state`, the dense-to-sparse frontier
+//! gather MS-PBFS runs on sparse iterations: on random state arrays
+//! (including partial last chunks) it returns exactly the non-empty
+//! entries, in ascending order with their bits, and its `cap` is exact.
 
 use proptest::prelude::*;
 
-use pbfs_bitset::{convert, AtomicBitVec, AtomicByteVec, Bits, StateArray};
+use pbfs_bitset::{convert, Bits, StateArray};
 
-/// Reads a bit container's membership through its summary — the way the
-/// traversal kernels read it, so a lost summary mark fails the test.
-fn bits_via_summary(v: &AtomicBitVec) -> Vec<usize> {
-    let mut out = Vec::new();
-    v.for_each_active_chunk(0, v.len(), |cs, ce| {
-        v.for_each_set(cs, ce, true, |i| out.push(i));
-    });
-    out
+/// Fills a fresh `StateArray<W>` of `len` entries: each `(vertex, word,
+/// value)` triple ORs `value` into one word of one entry, and `tail`
+/// additionally populates the last entry so the partial last chunk is hit.
+fn populate<const W: usize>(len: usize, raw: &[(usize, usize, u64)], tail: bool) -> StateArray<W> {
+    let state = StateArray::new(len);
+    for &(v, word, value) in raw {
+        let v = v % len;
+        let mut words = [0u64; W];
+        words[word % W] = value;
+        state.set(v, state.get(v) | Bits::from_words(words));
+    }
+    if tail {
+        state.set(len - 1, state.get(len - 1) | Bits::single(W * 64 - 1));
+    }
+    state
 }
 
-fn bytes_via_summary(v: &AtomicByteVec) -> Vec<usize> {
-    let mut out = Vec::new();
-    v.for_each_active_chunk(0, v.len(), |cs, ce| {
-        v.for_each_set(cs, ce, true, |i| out.push(i));
-    });
-    out
+/// Checks `gather_state` against a naive per-entry scan of `src`.
+fn check_gather<const W: usize>(src: &StateArray<W>) -> Result<(), TestCaseError> {
+    let expected: Vec<(u32, Bits<W>)> = (0..src.len())
+        .filter(|&v| !src.get(v).is_empty())
+        .map(|v| (v as u32, src.get(v)))
+        .collect();
+    let count = expected.len();
+    let gathered = convert::gather_state(src, count);
+    prop_assert_eq!(gathered, Some(expected));
+    if count > 0 {
+        prop_assert!(convert::gather_state(src, count - 1).is_none());
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn sparse_dense_byte_cycle_preserves_membership(
-        len in 1usize..12_000,
-        raw in proptest::collection::vec(0usize..12_000, 0..160),
-    ) {
-        let bits = AtomicBitVec::new(len);
-        for &i in &raw {
-            bits.set(i % len);
-        }
-        let expected = bits_via_summary(&bits);
-
-        // dense bits → sparse queue → byte array → dense bits.
-        let queue = convert::gather_bits(&bits, len).unwrap();
-        prop_assert_eq!(
-            queue.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-            expected.clone()
-        );
-        let bytes = AtomicByteVec::new(len);
-        convert::scatter_bytes(&queue, &bytes);
-        prop_assert_eq!(bytes_via_summary(&bytes), expected.clone());
-        let back = AtomicBitVec::new(len);
-        convert::bytes_to_bits(&bytes, &back);
-        prop_assert_eq!(bits_via_summary(&back), expected.clone());
-
-        // And the direct bit → byte migration agrees with the staged one.
-        let direct = AtomicByteVec::new(len);
-        convert::bits_to_bytes(&bits, &direct);
-        prop_assert_eq!(bytes_via_summary(&direct), expected);
-    }
-
-    #[test]
-    fn state_array_roundtrip_preserves_bit_patterns(
+    fn gather_state_w1_matches_naive_scan(
         len in 1usize..6_000,
-        raw in proptest::collection::vec((0usize..6_000, 1u64..u64::MAX), 0..120),
+        raw in proptest::collection::vec((0usize..6_000, 0usize..1, 1u64..u64::MAX), 0..120),
+        tail in any::<bool>(),
     ) {
-        let src: StateArray<1> = StateArray::new(len);
-        for &(i, bits) in &raw {
-            src.set(i % len, Bits::from_words([bits]));
-        }
-        let entries = convert::gather_state(&src, len).unwrap();
-        // Sorted, unique, and exactly the non-empty entries.
-        prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let dst: StateArray<1> = StateArray::new(len);
-        convert::scatter_state(&entries, &dst);
-        for v in 0..len {
-            prop_assert_eq!(dst.get(v), src.get(v), "entry {}", v);
-        }
-        // Summary stays conservative: a summary-guided scan of the
-        // destination sees every non-empty entry.
-        let mut seen = Vec::new();
-        dst.for_each_active_chunk(0, len, |cs, ce| {
-            for v in cs..ce {
-                if !dst.get(v).is_empty() {
-                    seen.push(v as u32);
-                }
-            }
-        });
-        prop_assert_eq!(seen, entries.iter().map(|e| e.0).collect::<Vec<_>>());
+        check_gather(&populate::<1>(len, &raw, tail))?;
     }
 
     #[test]
-    fn gather_cap_is_exact(
-        len in 64usize..4_000,
-        count in 0usize..64,
+    fn gather_state_w8_matches_naive_scan(
+        len in 1usize..3_000,
+        raw in proptest::collection::vec((0usize..3_000, 0usize..8, 1u64..u64::MAX), 0..120),
+        tail in any::<bool>(),
     ) {
-        let bits = AtomicBitVec::new(len);
-        for i in 0..count {
-            bits.set(i * (len / 64));
-        }
-        let active = bits_via_summary(&bits).len();
-        // cap == population succeeds; one less overflows to None.
-        prop_assert!(convert::gather_bits(&bits, active).is_some());
-        if active > 0 {
-            prop_assert!(convert::gather_bits(&bits, active - 1).is_none());
-        }
+        check_gather(&populate::<8>(len, &raw, tail))?;
     }
 }

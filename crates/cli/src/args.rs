@@ -85,6 +85,9 @@ usage:
         live during its batch — never a torn mix — and that epochs are
         reclaimed without leaks once snapshots drop";
 
+/// Flags that take no value: their presence is the setting.
+pub const BOOL_FLAGS: &[&str] = &["text", "validate", "help", "json", "mutate"];
+
 /// Parsed command line: positionals plus `--flag value` / `--flag` pairs.
 pub struct Args {
     /// Positional arguments in order.
@@ -96,7 +99,6 @@ impl Args {
     /// Splits `argv` into positionals and flags. Boolean flags (`--text`,
     /// `--validate`) store an empty value.
     pub fn parse(argv: &[String]) -> Result<Self, String> {
-        const BOOL_FLAGS: &[&str] = &["text", "validate", "help", "json", "mutate"];
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
         let mut i = 0;
@@ -122,6 +124,33 @@ impl Args {
             i += 1;
         }
         Ok(Self { positional, flags })
+    }
+
+    /// Fails, naming every offender, when a flag is neither global
+    /// (`--simd`, `--help`) nor one of `known`, the space-separated flags
+    /// `command` reads.
+    pub fn reject_unknown_flags(&self, command: &str, known: &str) -> Result<(), String> {
+        const GLOBAL_FLAGS: &[&str] = &["simd", "help"];
+        let mut unknown: Vec<String> = self
+            .flags
+            .keys()
+            .filter(|f| {
+                !GLOBAL_FLAGS.contains(&f.as_str()) && !known.split_whitespace().any(|k| k == *f)
+            })
+            .map(|f| match f.as_str() {
+                "output" => "-o".to_string(),
+                _ => format!("--{f}"),
+            })
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        let s = if unknown.len() == 1 { "" } else { "s" };
+        Err(format!(
+            "unknown flag{s} for `pbfs {command}`: {}",
+            unknown.join(", ")
+        ))
     }
 
     /// A boolean flag's presence.
@@ -180,6 +209,16 @@ mod tests {
     fn invalid_number_errors() {
         let a = Args::parse(&argv("x --scale banana")).unwrap();
         assert!(a.num::<u32>("scale", 1).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_named_with_the_command() {
+        let a = Args::parse(&argv("queries --treads 2 --seed 1 --simd auto -o x")).unwrap();
+        assert!(a
+            .reject_unknown_flags("queries", "treads seed output")
+            .is_ok());
+        let err = a.reject_unknown_flags("queries", "seed").unwrap_err();
+        assert_eq!(err, "unknown flags for `pbfs queries`: --treads, -o");
     }
 
     #[test]

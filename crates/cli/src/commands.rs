@@ -62,20 +62,72 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         println!("{USAGE}");
         return Ok(());
     }
-    match args.positional[0].as_str() {
-        "generate" => generate(&args),
-        "stats" => stats(&args),
-        "bfs" => bfs(&args),
-        "centrality" => centrality(&args),
-        "queries" => queries(&args),
-        "metrics" => metrics(&args),
-        "profile" => profile(&args),
-        "top" => top(&args),
-        "chaos" => chaos(&args),
-        "relabel" => relabel(&args),
-        other => Err(format!("unknown command: {other}")),
-    }
+    let name = args.positional[0].as_str();
+    let (_, run, flags) = COMMANDS
+        .iter()
+        .find(|(command, ..)| *command == name)
+        .ok_or_else(|| format!("unknown command: {name}"))?;
+    args.reject_unknown_flags(name, flags)?;
+    run(&args)
 }
+
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand with the space-separated flags it reads (`-o` is
+/// `output`). Any other flag, apart from the global `--simd` and
+/// `--help`, is rejected before the command runs, so a misspelled knob
+/// cannot silently fall back to its default.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    (
+        "generate",
+        generate,
+        "scale vertices degree seed text output",
+    ),
+    ("stats", stats, "text"),
+    (
+        "bfs",
+        bfs,
+        "source algo workers frontier prefetch-distance adapt-hysteresis \
+         adapt-sample-interval validate text",
+    ),
+    (
+        "centrality",
+        centrality,
+        "measure top workers frontier prefetch-distance adapt-hysteresis \
+         adapt-sample-interval text",
+    ),
+    ("relabel", relabel, "scheme workers seed text output"),
+    (
+        "queries",
+        queries,
+        "scale queries threads workers shards max-batch max-latency-us rate seed text \
+         max-queue query-timeout drain-timeout frontier prefetch-distance adapt-hysteresis \
+         adapt-sample-interval trace-out mutations",
+    ),
+    (
+        "metrics",
+        metrics,
+        "scale queries threads workers shards seed max-queue frontier prefetch-distance \
+         adapt-hysteresis adapt-sample-interval json text",
+    ),
+    (
+        "profile",
+        profile,
+        "scale seed source algo batch workers frontier prefetch-distance adapt-hysteresis \
+         adapt-sample-interval output folded-out text",
+    ),
+    (
+        "top",
+        top,
+        "scale queries threads workers seed interval-ms ticks frontier prefetch-distance \
+         adapt-hysteresis adapt-sample-interval text",
+    ),
+    (
+        "chaos",
+        chaos,
+        "schedules seed scale queries workers shards schedule-timeout metrics-out mutate",
+    ),
+];
 
 fn load(args: &Args, pos: usize) -> Result<CsrGraph, String> {
     let path = args
@@ -1011,4 +1063,134 @@ fn relabel(args: &Args) -> Result<(), String> {
     };
     let relabeled = scheme.apply(&g);
     save(args, &relabeled)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+
+    use super::*;
+    use crate::args::BOOL_FLAGS;
+
+    fn run(cmdline: &str) -> Result<(), String> {
+        let argv: Vec<String> = cmdline.split_whitespace().map(String::from).collect();
+        dispatch(&argv)
+    }
+
+    fn rejects_flags(result: &Result<(), String>) -> bool {
+        matches!(result, Err(e) if e.starts_with("unknown flag"))
+    }
+
+    /// A fresh scratch directory for one test's files.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pbfs-cli-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The flags USAGE documents for `command`: those on its synopsis
+    /// line and the bracketed continuation lines below it.
+    fn usage_flags(command: &str) -> Vec<String> {
+        let head = format!("  pbfs {command} ");
+        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines.next().expect("every command has a USAGE entry");
+        let synopsis =
+            std::iter::once(first).chain(lines.take_while(|l| l.trim_start().starts_with('[')));
+        let mut flags: Vec<String> = synopsis
+            .flat_map(|l| l.split(|c: char| c.is_whitespace() || "[]|".contains(c)))
+            .filter(|t| t.starts_with('-') && t.len() > 1)
+            .map(String::from)
+            .collect();
+        flags.sort();
+        flags.dedup();
+        flags
+    }
+
+    #[test]
+    fn misspelled_flags_fail_naming_flag_and_command() {
+        let err = run("queries --scale 6 --queries 10 --treads 2 --max-batchh 8").unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flags for `pbfs queries`: --max-batchh, --treads"
+        );
+        let err = run("bfs g.bin --sorce 3").unwrap_err();
+        assert_eq!(err, "unknown flag for `pbfs bfs`: --sorce");
+        let err = run("chaos --schedule 2").unwrap_err();
+        assert_eq!(err, "unknown flag for `pbfs chaos`: --schedule");
+        // A flag another command reads is still foreign here.
+        assert!(rejects_flags(&run("chaos --max-batch 64")));
+        assert!(rejects_flags(&run("stats g.bin --validate")));
+    }
+
+    #[test]
+    fn every_usage_flag_passes_the_flag_check() {
+        for (command, ..) in COMMANDS {
+            let flags = usage_flags(command);
+            assert!(!flags.is_empty(), "{command}");
+            // Values that fail to parse make each command stop before doing
+            // any work, so only the flag check itself is exercised.
+            let mut cmdline = format!("{command} --simd auto");
+            for flag in &flags {
+                cmdline.push(' ');
+                cmdline.push_str(flag);
+                if !BOOL_FLAGS.contains(&flag.trim_start_matches('-')) {
+                    cmdline.push_str(" bogus");
+                }
+            }
+            let result = run(&cmdline);
+            assert!(!rejects_flags(&result), "{cmdline}: {result:?}");
+        }
+    }
+
+    #[test]
+    fn bfs_and_queries_run_with_every_usage_flag() {
+        let dir = scratch_dir("runs");
+        let graph = dir.join("g.txt");
+        let (graph, trace, script) = (
+            graph.display(),
+            dir.join("trace.json"),
+            dir.join("mutations.txt"),
+        );
+        std::fs::write(&script, "add 0 5\ncommit\ncompact\n").unwrap();
+        run(&format!(
+            "generate uniform --vertices 64 --degree 4 --seed 1 --text -o {graph}"
+        ))
+        .unwrap();
+        run(&format!(
+            "bfs {graph} --text --source 0 --algo sms-bit --workers 1 --frontier auto \
+             --prefetch-distance 4 --adapt-hysteresis 2 --adapt-sample-interval 1 --validate"
+        ))
+        .unwrap();
+        run(&format!(
+            "queries {graph} --text --scale 6 --queries 16 --threads 1 --shards 1 \
+             --max-batch 64 --max-latency-us 500 --rate 0 --seed 3 --max-queue 64 \
+             --query-timeout 0 --drain-timeout 0 --frontier auto --prefetch-distance 4 \
+             --adapt-hysteresis 2 --adapt-sample-interval 1 --trace-out {} --mutations {}",
+            trace.display(),
+            script.display()
+        ))
+        .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chaos_runs_with_every_usage_flag() {
+        // With live failpoints the soak would inject faults into the other
+        // tests sharing this process; the flag check is covered above.
+        if pbfs_fault::enabled() {
+            return;
+        }
+        let dir = scratch_dir("chaos");
+        let metrics = dir.join("metrics.txt");
+        for mode in ["", "--mutate"] {
+            run(&format!(
+                "chaos --schedules 1 --seed 3 --scale 5 --queries 8 --workers 1 --shards 1 \
+                 --schedule-timeout 30 --metrics-out {} {mode}",
+                metrics.display()
+            ))
+            .unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -23,12 +23,6 @@
 //! trace. Correctness never depends on a decision — every strategy scans
 //! a superset of the active frontier — so the worst possible policy bug
 //! is a slowdown.
-//!
-//! The module also hosts the telemetry-feedback half of the tentpole:
-//! [`ObservedProfile`] reads the registry's skip-ratio and traversal
-//! counters back out, and [`WidthTuner`] keeps a per-batch-width EWMA of
-//! observed ns/query so the engine can cap the coalescing width when a
-//! wide configuration is measurably hurting.
 
 use std::sync::{Arc, OnceLock};
 
@@ -294,7 +288,13 @@ impl AdaptController {
         to: &'static str,
         reason: &'static str,
     ) {
-        note_switch(from, to, reason);
+        pbfs_telemetry::registry()
+            .counter_with(
+                "pbfs_adapt_switches_total",
+                &format!("from=\"{from}\",to=\"{to}\",reason=\"{reason}\""),
+                SWITCH_HELP,
+            )
+            .inc();
         self.log.push(AdaptDecision {
             iteration,
             from,
@@ -304,27 +304,12 @@ impl AdaptController {
     }
 }
 
-/// Bumps `pbfs_adapt_switches_total{from,to,reason}`. Shared by the
-/// per-iteration controller and the engine-level width/representation
-/// tuners so every adaptive decision lands in one family.
-pub(crate) fn note_switch(from: &str, to: &str, reason: &str) {
-    pbfs_telemetry::registry()
-        .counter_with(
-            "pbfs_adapt_switches_total",
-            &format!("from=\"{from}\",to=\"{to}\",reason=\"{reason}\""),
-            SWITCH_HELP,
-        )
-        .inc();
-}
-
 const SWITCH_HELP: &str = "Adaptive controller switches by source, target and triggering rule";
 
 /// Always-on adapt counters.
 pub(crate) struct AdaptMetrics {
     /// Frontier samples judged.
     pub samples: Arc<Counter>,
-    /// Engine-level retunes (width cap or singleton representation).
-    pub retunes: Arc<Counter>,
 }
 
 pub(crate) fn metrics() -> &'static AdaptMetrics {
@@ -344,143 +329,8 @@ pub(crate) fn metrics() -> &'static AdaptMetrics {
                 "pbfs_adapt_samples_total",
                 "Frontier samples judged by the adaptive controller",
             ),
-            retunes: r.counter(
-                "pbfs_adapt_retunes_total",
-                "Engine-level tuning changes (batch-width cap, singleton representation)",
-            ),
         }
     })
-}
-
-/// What the telemetry registry has observed about this process's
-/// traversals so far — the feedback half of `tuned_for()`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ObservedProfile {
-    /// Fraction of summary chunks skipped across all summary-guided scans.
-    pub summary_skip_ratio: f64,
-    /// Chunks the ratio is based on (0 = no evidence yet).
-    pub chunks_observed: u64,
-    /// Traversals completed.
-    pub traversals: u64,
-}
-
-impl ObservedProfile {
-    /// Chunks of evidence below which [`BfsOptions::retuned`]
-    /// (crate::options::BfsOptions::retuned) leaves the options untouched.
-    pub const MIN_EVIDENCE: u64 = 4096;
-
-    /// Reads the profile back out of the process-wide registry.
-    pub fn from_registry() -> Self {
-        let r = pbfs_telemetry::registry();
-        let skipped = r
-            .counter(
-                "pbfs_bfs_summary_chunks_skipped_total",
-                "Frontier summary chunks skipped without loading state words",
-            )
-            .get();
-        let scanned = r
-            .counter(
-                "pbfs_bfs_summary_chunks_scanned_total",
-                "Frontier summary chunks scanned (summary bit was set)",
-            )
-            .get();
-        let traversals = r
-            .counter(
-                "pbfs_bfs_traversals_total",
-                "Parallel BFS traversals completed",
-            )
-            .get();
-        let chunks = skipped + scanned;
-        ObservedProfile {
-            summary_skip_ratio: if chunks == 0 {
-                0.0
-            } else {
-                skipped as f64 / chunks as f64
-            },
-            chunks_observed: chunks,
-            traversals,
-        }
-    }
-}
-
-/// Number of batch widths the engine coalesces to (64/128/256/512).
-pub const NUM_WIDTH_ARMS: usize = 4;
-
-/// Per-width EWMA of observed ns/query, used by the engine to cap the
-/// coalescing width when a wide batch configuration is measurably slower
-/// per query than a narrower one.
-///
-/// Deterministic given the observation stream; a width is only capped out
-/// once both it and some narrower width have [`WidthTuner::MIN_SAMPLES`]
-/// observations and the wide one costs more than
-/// [`WidthTuner::TOLERANCE`]× per query.
-#[derive(Clone, Debug)]
-pub struct WidthTuner {
-    ewma_ns: [f64; NUM_WIDTH_ARMS],
-    samples: [u64; NUM_WIDTH_ARMS],
-}
-
-impl Default for WidthTuner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WidthTuner {
-    /// Observations of an arm before its EWMA is trusted.
-    pub const MIN_SAMPLES: u64 = 3;
-    /// How much worse per query a wide batch must be before it is capped.
-    pub const TOLERANCE: f64 = 2.0;
-    /// EWMA smoothing factor for new observations.
-    pub const ALPHA: f64 = 0.3;
-
-    /// A tuner with no observations (every width allowed).
-    pub fn new() -> Self {
-        Self {
-            ewma_ns: [0.0; NUM_WIDTH_ARMS],
-            samples: [0; NUM_WIDTH_ARMS],
-        }
-    }
-
-    /// Records one batch: `arm` is the width index (0 → 64 … 3 → 512).
-    pub fn observe(&mut self, arm: usize, ns_per_query: f64) {
-        let e = &mut self.ewma_ns[arm];
-        *e = if self.samples[arm] == 0 {
-            ns_per_query
-        } else {
-            Self::ALPHA * ns_per_query + (1.0 - Self::ALPHA) * *e
-        };
-        self.samples[arm] += 1;
-    }
-
-    /// Observed ns/query EWMA of one arm (`None` until sampled).
-    pub fn ewma(&self, arm: usize) -> Option<f64> {
-        (self.samples[arm] > 0).then_some(self.ewma_ns[arm])
-    }
-
-    /// Largest allowed width index ≤ `default_cap_arm` given the evidence:
-    /// walks down from the cap and drops any arm whose trusted EWMA is
-    /// more than [`Self::TOLERANCE`]× the best trusted EWMA of a narrower
-    /// arm. Unsampled arms are never dropped (they stay explorable).
-    pub fn preferred_cap_arm(&self, default_cap_arm: usize) -> usize {
-        let cap = default_cap_arm.min(NUM_WIDTH_ARMS - 1);
-        let mut allowed = cap;
-        for arm in (1..=cap).rev() {
-            if self.samples[arm] < Self::MIN_SAMPLES {
-                break;
-            }
-            let narrower_best = (0..arm)
-                .filter(|&j| self.samples[j] >= Self::MIN_SAMPLES)
-                .map(|j| self.ewma_ns[j])
-                .fold(f64::INFINITY, f64::min);
-            if narrower_best.is_finite() && self.ewma_ns[arm] > Self::TOLERANCE * narrower_best {
-                allowed = arm - 1;
-            } else {
-                break;
-            }
-        }
-        allowed
-    }
 }
 
 #[cfg(test)]
@@ -620,35 +470,5 @@ mod tests {
         );
         assert_eq!(c.log().len(), 2);
         assert!(c.log().iter().all(|d| d.reason == "direction_policy"));
-    }
-
-    #[test]
-    fn width_tuner_caps_only_on_strong_evidence() {
-        let mut t = WidthTuner::new();
-        assert_eq!(t.preferred_cap_arm(3), 3, "no evidence keeps full range");
-        for _ in 0..3 {
-            t.observe(1, 1_000.0);
-        }
-        assert_eq!(t.preferred_cap_arm(3), 3, "wide arms unsampled");
-        for _ in 0..3 {
-            t.observe(3, 10_000.0);
-        }
-        assert_eq!(t.preferred_cap_arm(3), 2, "512 is 10x worse than 128");
-        for _ in 0..3 {
-            t.observe(2, 1_500.0);
-        }
-        assert_eq!(t.preferred_cap_arm(3), 2, "256 within tolerance stays");
-        // A cheap narrow width never caps anything below itself.
-        assert_eq!(t.preferred_cap_arm(1), 1);
-    }
-
-    #[test]
-    fn width_tuner_ewma_tracks_recent_observations() {
-        let mut t = WidthTuner::new();
-        t.observe(0, 100.0);
-        t.observe(0, 200.0);
-        let e = t.ewma(0).unwrap();
-        assert!((e - (0.3 * 200.0 + 0.7 * 100.0)).abs() < 1e-9);
-        assert_eq!(t.ewma(1), None);
     }
 }

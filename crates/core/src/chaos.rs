@@ -10,7 +10,7 @@
 //!    one `Ok` or one typed [`EngineError`]; [`EngineError::Internal`] (a
 //!    lost result channel) is a violation.
 //! 2. **Correctness under faults** — every `Ok` result matches the
-//!    [`textbook`](crate::textbook) oracle exactly.
+//!    [`textbook`] oracle exactly.
 //! 3. **Recovery** — after the schedule's faults are cleared, a probe
 //!    query must succeed: the worker pool and algorithm state healed.
 //! 4. **No hangs** — the whole schedule (traffic, drain, shutdown) runs

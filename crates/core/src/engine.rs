@@ -89,7 +89,6 @@ use pbfs_telemetry::{
     engine_lane, BoundedHistogram, Counter, EventKind, Gauge, Histogram, CLIENT_LANE,
 };
 
-use crate::adapt::WidthTuner;
 use crate::mspbfs::MsPbfs;
 use crate::options::BfsOptions;
 use crate::sharded::ShardedMsBfs;
@@ -248,13 +247,6 @@ pub struct EngineConfig {
     /// still queued after this long fail with [`EngineError::ShutDown`]
     /// instead of extending the drain. `None` drains the whole backlog.
     pub drain_timeout: Option<Duration>,
-    /// Online width auto-tuning: when true (the default), the dispatcher
-    /// keeps a per-width EWMA of observed ns/query and lowers the
-    /// effective batch-width cap when a wide configuration is measurably
-    /// slower per query than a narrower one ([`WidthTuner`]). Every cap
-    /// change is counted in `pbfs_adapt_retunes_total` and labeled in
-    /// `pbfs_adapt_switches_total{reason="ns_per_query"}`.
-    pub autotune: bool,
     /// Fault-injection hook for tests and chaos drills: invoked inside the
     /// batch's panic-isolation scope just before execution, with the
     /// shard's pool (whatever the flush's size) and the batch's sources.
@@ -275,7 +267,6 @@ impl Default for EngineConfig {
             max_queue: 8192,
             query_timeout: None,
             drain_timeout: None,
-            autotune: true,
             fault_hook: None,
             bfs: BfsOptions::default(),
         }
@@ -322,12 +313,6 @@ impl EngineConfig {
     /// Returns a copy with the given shutdown drain bound.
     pub fn with_drain_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.drain_timeout = timeout;
-        self
-    }
-
-    /// Returns a copy with width auto-tuning enabled or disabled.
-    pub fn with_autotune(mut self, autotune: bool) -> Self {
-        self.autotune = autotune;
         self
     }
 
@@ -890,14 +875,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Index of `width` in [`BATCH_WIDTHS`] (the tuner's arm space).
-fn width_arm(width: usize) -> usize {
-    BATCH_WIDTHS
-        .iter()
-        .position(|&w| w == width)
-        .unwrap_or(BATCH_WIDTHS.len() - 1)
-}
-
 /// Smallest supported batch width covering `depth` (1 = singleton flush),
 /// bounded by `cap` (itself a supported width).
 fn width_for(depth: usize, cap: usize) -> usize {
@@ -993,11 +970,7 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
     // thread, runs every loop inline on this dispatcher, and never
     // poisons (a panic unwinds straight to the batch's catch_unwind).
     let inline_pool = WorkerPool::new(1);
-    let config_cap = config.width_cap();
-    // Effective width cap: starts at the configured cap and is lowered by
-    // the tuner when observed ns/query says a wide batch is hurting.
-    let mut cap = config_cap;
-    let mut tuner = WidthTuner::new();
+    let cap = config.width_cap();
     let n = shared.num_vertices;
     // Algorithm states are graph-sized and reused across batches. The
     // plain-CSR states serve the single-shard engine; the scatter/gather
@@ -1251,25 +1224,6 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
             }
             acc.last_done = Some(done);
         }
-        // Feed the observed per-query cost back into the width tuner and
-        // lower (or restore) the effective coalescing cap when the
-        // evidence is strong — the `tuned_for()` feedback loop at the
-        // engine level. Singleton flushes use a different algorithm
-        // (SMS-PBFS), so only real batch widths are arms.
-        if config.autotune && width > 1 {
-            let flush_ns = done.saturating_duration_since(drained).as_nanos() as f64;
-            tuner.observe(width_arm(width), flush_ns / batch.len() as f64);
-            let new_cap = BATCH_WIDTHS[tuner.preferred_cap_arm(width_arm(config_cap))];
-            if new_cap != cap {
-                crate::adapt::metrics().retunes.inc();
-                crate::adapt::note_switch(
-                    &format!("width_{cap}"),
-                    &format!("width_{new_cap}"),
-                    "ns_per_query",
-                );
-                cap = new_cap;
-            }
-        }
         let batch_len = batch.len();
         for (p, distances) in batch.into_iter().zip(results) {
             // A dropped handle means nobody wants this result; fine.
@@ -1402,20 +1356,6 @@ mod tests {
         // Caps bind.
         assert_eq!(width_for(500, 64), 64);
         assert_eq!(width_for(100, 128), 128);
-    }
-
-    #[test]
-    fn width_arm_maps_supported_widths() {
-        assert_eq!(width_arm(64), 0);
-        assert_eq!(width_arm(128), 1);
-        assert_eq!(width_arm(256), 2);
-        assert_eq!(width_arm(512), 3);
-    }
-
-    #[test]
-    fn autotune_is_on_by_default_and_togglable() {
-        assert!(EngineConfig::default().autotune);
-        assert!(!EngineConfig::default().with_autotune(false).autotune);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tuning knobs shared by all BFS implementations.
 
-use crate::adapt::{AdaptConfig, ObservedProfile};
+use crate::adapt::AdaptConfig;
 use crate::policy::{DirectionPolicy, FrontierMode};
 
 /// How the first top-down phase merges frontiers into `next`.
@@ -122,42 +122,6 @@ impl BfsOptions {
         self.query_set = query_set;
         self
     }
-
-    /// Returns a copy with the prefetch distance tuned from per-chunk
-    /// degree statistics: short adjacency lists leave the pointer chase
-    /// latency-bound (deepen the lookahead), long ones stream well under
-    /// hardware prefetch (shallow lookahead suffices).
-    pub fn tuned_for(mut self, stats: &pbfs_graph::ChunkDegreeStats) -> Self {
-        self.prefetch_distance = if stats.avg_degree < 4.0 {
-            2 * DEFAULT_PREFETCH_DISTANCE
-        } else if stats.avg_degree > 64.0 {
-            DEFAULT_PREFETCH_DISTANCE / 2
-        } else {
-            DEFAULT_PREFETCH_DISTANCE
-        };
-        self
-    }
-
-    /// Feeds observed telemetry back into the options: once enough summary
-    /// chunks have been scanned to trust the skip ratio, adjust the
-    /// prefetch lookahead to match the *observed* frontier shape rather
-    /// than the static degree histogram. A high skip ratio means the scans
-    /// jump between distant active chunks (pointer-chase bound — deepen
-    /// the lookahead); a low one means the scans stream (shallow
-    /// suffices). With insufficient evidence the options are unchanged.
-    pub fn retuned(mut self, observed: &ObservedProfile) -> Self {
-        if observed.chunks_observed < ObservedProfile::MIN_EVIDENCE {
-            return self;
-        }
-        self.prefetch_distance = if observed.summary_skip_ratio > 0.9 {
-            2 * DEFAULT_PREFETCH_DISTANCE
-        } else if observed.summary_skip_ratio < 0.1 {
-            DEFAULT_PREFETCH_DISTANCE / 2
-        } else {
-            DEFAULT_PREFETCH_DISTANCE
-        };
-        self
-    }
 }
 
 #[cfg(test)]
@@ -192,44 +156,5 @@ mod tests {
         assert_eq!(o.split_size, 64);
         assert_eq!(o.frontier_mode, FrontierMode::Flat);
         assert_eq!(o.prefetch_distance, 0);
-    }
-
-    #[test]
-    fn tuning_follows_degree() {
-        let sparse = pbfs_graph::ChunkDegreeStats::compute(&pbfs_graph::gen::path(100));
-        let dense = pbfs_graph::ChunkDegreeStats::compute(&pbfs_graph::gen::complete(100));
-        assert_eq!(
-            BfsOptions::default().tuned_for(&sparse).prefetch_distance,
-            8
-        );
-        assert_eq!(BfsOptions::default().tuned_for(&dense).prefetch_distance, 2);
-    }
-
-    #[test]
-    fn retuning_follows_observed_skip_ratio() {
-        let hollow = ObservedProfile {
-            summary_skip_ratio: 0.99,
-            chunks_observed: ObservedProfile::MIN_EVIDENCE,
-            traversals: 10,
-        };
-        assert_eq!(BfsOptions::default().retuned(&hollow).prefetch_distance, 8);
-        let streaming = ObservedProfile {
-            summary_skip_ratio: 0.01,
-            ..hollow
-        };
-        assert_eq!(
-            BfsOptions::default().retuned(&streaming).prefetch_distance,
-            2
-        );
-        let thin_evidence = ObservedProfile {
-            chunks_observed: ObservedProfile::MIN_EVIDENCE - 1,
-            ..hollow
-        };
-        assert_eq!(
-            BfsOptions::default()
-                .retuned(&thin_evidence)
-                .prefetch_distance,
-            DEFAULT_PREFETCH_DISTANCE
-        );
     }
 }

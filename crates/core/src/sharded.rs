@@ -1,8 +1,9 @@
-//! Sharded scatter/gather MS-BFS over [`PartitionedCsr`].
+//! Sharded scatter/gather MS-BFS over [`PartitionedCsr`](pbfs_graph::PartitionedCsr).
 //!
 //! The shared-memory half of ROADMAP item 1: the batch traversal is
 //! restructured as an explicit **scatter/gather** exchange over the
-//! per-socket adjacency partitions of [`PartitionedCsr`], the stepping
+//! per-socket adjacency partitions of
+//! [`PartitionedCsr`](pbfs_graph::PartitionedCsr), the stepping
 //! stone to the 2D-decomposition distributed BFS of Buluç–Madduri.
 //!
 //! Each iteration runs two barrier-separated phases on the worker pool:
@@ -107,7 +108,7 @@ impl<const W: usize> ShardedMsBfs<W> {
     /// Runs one batch of concurrent BFSs from `sources` on `pool`.
     ///
     /// Generic over [`ShardedAdjacency`], so the same state traverses a
-    /// plain [`PartitionedCsr`] or a mutation-overlaid
+    /// plain [`PartitionedCsr`](pbfs_graph::PartitionedCsr) or a mutation-overlaid
     /// [`crate::storage::ShardedSnapshot`]; the plain-partition
     /// monomorphization is the unchanged hot path.
     ///

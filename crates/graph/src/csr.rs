@@ -86,7 +86,7 @@ impl CsrGraph {
 
     /// Non-panicking variant of [`CsrGraph::from_raw_parts`] for arrays
     /// deserialized from untrusted input: every structural violation is a
-    /// typed [`GraphIoError`] instead of a panic.
+    /// typed [`GraphIoError`](crate::GraphIoError) instead of a panic.
     pub fn try_from_raw_parts(
         offsets: Box<[u64]>,
         targets: Box<[VertexId]>,

@@ -44,7 +44,7 @@ pub use csr::{BuildOptions, CsrGraph};
 pub use io::{GraphIoError, GraphMeta};
 pub use labeling::Permutation;
 pub use partitioned::{PartitionError, PartitionedCsr};
-pub use stats::{ChunkDegreeStats, ComponentInfo, GraphStats};
+pub use stats::{ComponentInfo, GraphStats};
 
 /// Vertex identifier. 32 bits suffice for every graph in the evaluation and
 /// halve the memory traffic of the hot adjacency scans compared to `usize`.

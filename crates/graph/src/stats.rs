@@ -64,60 +64,6 @@ impl GraphStats {
     }
 }
 
-/// Degree mass per summary chunk ([`pbfs_bitset::SUMMARY_CHUNK`] vertices),
-/// informing the traversal-kernel tuning knobs: when most edges concentrate
-/// in few chunks, summary-guided frontier scans skip more, and short
-/// adjacency lists make software prefetch of the CSR pointer chase pay off.
-#[derive(Clone, Debug)]
-pub struct ChunkDegreeStats {
-    /// Directed adjacency entries per chunk, sorted descending.
-    pub chunk_degrees: Vec<u64>,
-    /// Chunks with at least one adjacency entry.
-    pub nonempty_chunks: usize,
-    /// Mean directed degree over connected vertices.
-    pub avg_degree: f64,
-}
-
-impl ChunkDegreeStats {
-    /// Computes per-chunk degree mass for `g`.
-    pub fn compute(g: &CsrGraph) -> Self {
-        let chunk = pbfs_bitset::SUMMARY_CHUNK;
-        let n = g.num_vertices();
-        let mut chunk_degrees = vec![0u64; n.div_ceil(chunk)];
-        let mut connected = 0usize;
-        for v in g.vertices() {
-            let d = g.degree(v);
-            if d > 0 {
-                connected += 1;
-                chunk_degrees[v as usize / chunk] += d as u64;
-            }
-        }
-        chunk_degrees.sort_unstable_by(|a, b| b.cmp(a));
-        let nonempty_chunks = chunk_degrees.iter().filter(|&&d| d > 0).count();
-        let avg_degree = if connected == 0 {
-            0.0
-        } else {
-            g.num_directed_edges() as f64 / connected as f64
-        };
-        Self {
-            chunk_degrees,
-            nonempty_chunks,
-            avg_degree,
-        }
-    }
-
-    /// Fraction of the degree mass held by the heaviest `k` chunks
-    /// (1.0 when `k` covers every non-empty chunk).
-    pub fn top_chunk_mass(&self, k: usize) -> f64 {
-        let total: u64 = self.chunk_degrees.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let top: u64 = self.chunk_degrees.iter().take(k).sum();
-        top as f64 / total as f64
-    }
-}
-
 /// Connected components plus per-component undirected edge counts.
 pub struct ComponentInfo {
     comp_of: Vec<u32>,
@@ -342,21 +288,5 @@ mod tests {
         let g = gen::Kronecker::graph500(11).seed(2).generate();
         let d = estimate_diameter(&g, 4, 3);
         assert!(d <= 10, "small-world graphs have tiny diameters, got {d}");
-    }
-
-    #[test]
-    fn chunk_degree_stats() {
-        // A star centered on vertex 0: all degree mass in chunk 0, one
-        // adjacency entry in each other occupied chunk.
-        let g = gen::star(200);
-        let s = ChunkDegreeStats::compute(&g);
-        assert_eq!(s.chunk_degrees.len(), 200usize.div_ceil(64));
-        assert_eq!(s.chunk_degrees.iter().sum::<u64>(), 398);
-        // Sorted descending: the center's chunk leads.
-        assert!(s.chunk_degrees[0] >= s.chunk_degrees[1]);
-        assert_eq!(s.nonempty_chunks, 4);
-        assert!(s.top_chunk_mass(1) > 0.5);
-        assert!((s.top_chunk_mass(s.chunk_degrees.len()) - 1.0).abs() < 1e-12);
-        assert!((s.avg_degree - 398.0 / 200.0).abs() < 1e-12);
     }
 }

@@ -57,7 +57,6 @@ REQUIRED_PROM_FAMILIES = [
     "pbfs_sched_worker_panics_total",
     "pbfs_adapt_samples_total",
     "pbfs_adapt_switches_total",
-    "pbfs_adapt_retunes_total",
     "pbfs_telemetry_dropped_events_total",
     "pbfs_trace_dropped_events_total",
     "pbfs_build_info",

@@ -23,14 +23,12 @@ fn full_width_batches_on_power_of_two_graph_match_textbook() {
     assert!(n.is_power_of_two(), "n = {n}");
     let mut oracle: HashMap<u32, Vec<u32>> = HashMap::new();
     for shards in [1usize, 2] {
-        // Only a full queue flushes: the deadline is far beyond the test
-        // and autotuning cannot lower the width cap.
+        // Only a full queue flushes: the deadline is far beyond the test.
         let cfg = EngineConfig::default()
             .with_workers(2)
             .with_shards(shards)
             .with_max_batch(WIDTH)
-            .with_max_latency(Duration::from_secs(600))
-            .with_autotune(false);
+            .with_max_latency(Duration::from_secs(600));
         let mut engine = QueryEngine::new(Arc::clone(&g), cfg);
         let queries = shards * BATCHES_PER_SHARD * WIDTH;
         let handles: Vec<QueryHandle> = (0..queries)

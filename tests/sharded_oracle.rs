@@ -27,8 +27,7 @@ fn run_engine(g: &Arc<CsrGraph>, shards: usize, width: usize, sources: &[u32]) -
         .with_workers(4)
         .with_shards(shards)
         .with_max_batch(width)
-        .with_max_latency(Duration::from_millis(5))
-        .with_autotune(false);
+        .with_max_latency(Duration::from_millis(5));
     let mut e = QueryEngine::new(Arc::clone(g), cfg);
     let handles: Vec<QueryHandle> = sources.iter().map(|&s| e.submit(s).unwrap()).collect();
     let results = handles.into_iter().map(|h| h.wait().unwrap()).collect();

@@ -84,7 +84,6 @@ fn engine_replay_produces_full_trace_and_metrics() {
         "pbfs_bfs_traversals_total",
         "pbfs_adapt_samples_total",
         "pbfs_adapt_switches_total",
-        "pbfs_adapt_retunes_total",
         "pbfs_telemetry_dropped_events_total",
         "pbfs_trace_dropped_events_total",
         "pbfs_graph_vertices",
