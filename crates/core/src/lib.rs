@@ -12,6 +12,7 @@
 //! | [`msbfs`] | sequential multi-source MS-BFS | §2.2 |
 //! | [`mspbfs`] | **MS-PBFS** — parallel multi-source BFS | §3.1 |
 //! | [`smspbfs`] | **SMS-PBFS** — parallel single-source BFS (bit & byte) | §3.2 |
+//! | `driver` (crate-private) | the level-synchronous loop under MS-PBFS, SMS-PBFS and the sharded kernel | §3 |
 //! | [`batch`] | multi-batch drivers (per-core instances, one-per-socket) | §5.3 |
 //! | [`sharded`] | scatter/gather MS-BFS over the partitioned CSR | §4.4 |
 //! | [`engine`] | online batched query engine (request coalescing, sharding) | — |
@@ -62,6 +63,7 @@ pub mod beamer;
 pub mod build;
 pub mod centrality;
 pub mod chaos;
+mod driver;
 pub mod engine;
 pub mod memory;
 pub mod msbfs;

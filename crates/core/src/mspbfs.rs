@@ -11,19 +11,22 @@
 //!   the buffer can be reused as `next` without a separate memset.
 //! * **Bottom-up** (Listing 2): same bijective argument, zero
 //!   synchronization, with the early-exit once no more bits can be gained.
+//!
+//! The level loop around these phases (direction and scan choice, phase
+//! timing, statistics) is the traversal driver shared with SMS-PBFS and
+//! the sharded kernel; this module supplies the state and the phase bodies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 
 use crate::storage::Adjacency;
 use pbfs_bitset::{Bits, ScanStats, StateArray, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
-use pbfs_telemetry::{EventKind, PerWorkerU64};
 
-use crate::adapt::{AdaptController, FrontierSample, ScanStrategy};
+use crate::adapt::ScanStrategy;
+use crate::driver::{self, Kernel, Schedule, Step, Tally};
 use crate::options::{AtomicKind, BfsOptions};
-use crate::policy::{Direction, FrontierMode, FrontierState};
-use crate::stats::{IterationStats, TraversalStats, WorkerIterStats};
+use crate::stats::TraversalStats;
 use crate::visitor::MsVisitor;
 
 /// Reusable parallel multi-source BFS state for batches of up to `W * 64`
@@ -85,576 +88,294 @@ impl<const W: usize> MsPbfs<W> {
         assert_eq!(self.seen.len(), n, "state sized for a different graph");
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.len() <= W * 64, "batch exceeds bitset width");
-        let start = std::time::Instant::now();
-        // Summary-guided scans want task ranges aligned to summary chunks:
-        // range clears then cover whole chunks, so summary bits are cleared
-        // exactly instead of conservatively.
-        let split = match opts.frontier_mode {
-            FrontierMode::Summary | FrontierMode::Auto => {
-                pbfs_sched::aligned_split(opts.split_size.max(1), SUMMARY_CHUNK)
-            }
-            FrontierMode::Flat => opts.split_size.max(1),
+        let mut batch = Batch {
+            g,
+            sources,
+            opts,
+            visitor,
+            full: Bits::first_n(sources.len()),
+            seen: &self.seen,
+            frontier: &self.frontier,
+            next: &self.next,
         };
-        let mode = opts.frontier_mode;
-        // Online controller: under `Auto` it samples the frontier each
-        // iteration and picks the scan strategy; the static modes map to a
-        // fixed strategy. Strategy only changes *how* the frontier arrays
-        // are walked, never what they contain, so any decision is correct.
-        let mut ctl = (mode == FrontierMode::Auto).then(|| AdaptController::new(opts.adapt));
-        let mut cur_scan = match mode {
-            FrontierMode::Flat => ScanStrategy::Flat,
-            FrontierMode::Summary | FrontierMode::Auto => ScanStrategy::Summary,
-        };
-        let pd = opts.prefetch_distance;
-        let qset = opts.query_set;
-        let rec = pbfs_telemetry::recorder();
-
-        // Parallel init: each worker first-touches (and later processes)
-        // the same deterministic ranges — the NUMA placement rule of
-        // Section 4.4.
-        {
-            let (seen, frontier, next) = (&self.seen, &self.frontier, &self.next);
-            // SAFETY: the init ranges are disjoint per worker and nothing
-            // reads the arrays until the pool joins, so the bulk memset
-            // clear is exclusive.
-            pool.parallel_for(n, split, |_, r| unsafe {
-                seen.clear_range_owned(r.start, r.end);
-                frontier.clear_range_owned(r.start, r.end);
-                next.clear_range_owned(r.start, r.end);
-            });
-        }
-
-        let full = Bits::<W>::first_n(sources.len());
-        let mut frontier_vertices = 0u64;
-        let mut frontier_degree = 0u64;
-        let mut unexplored_degree = g.num_directed_edges() as u64;
-        for (i, &s) in sources.iter().enumerate() {
-            assert!((s as usize) < n, "source out of range");
-            let bit = Bits::single(i);
-            if self.seen.get(s as usize).is_empty() {
-                frontier_vertices += 1;
-                frontier_degree += g.degree(s) as u64;
-            }
-            self.seen.or_assign_unsync(s as usize, bit);
-            self.frontier.or_assign_unsync(s as usize, bit);
-            visitor.on_found(s, 0, bit);
-        }
-        for &s in sources {
-            if self.seen.get(s as usize) == full {
-                unexplored_degree = unexplored_degree.saturating_sub(g.degree(s) as u64);
-            }
-        }
-
-        let mut stats = TraversalStats {
-            total_discovered: sources.len() as u64,
-            ..Default::default()
-        };
-        let mut direction = Direction::TopDown;
-        let mut depth = 0u32;
-        // Whole-traversal summary-scan totals, fed from every phase;
-        // per-iteration deltas are carved out at each iteration's end.
-        let sum_skipped = AtomicU64::new(0);
-        let sum_scanned = AtomicU64::new(0);
-        let (mut prev_skipped, mut prev_scanned) = (0u64, 0u64);
-        let note_scan = |s: ScanStats| {
-            sum_skipped.fetch_add(s.chunks_skipped, Ordering::Relaxed);
-            sum_scanned.fetch_add(s.chunks_scanned, Ordering::Relaxed);
-        };
-
-        while frontier_vertices > 0 {
-            // Phase boundary: state arrays are consistent here, so an
-            // injected panic exercises the engine's mid-traversal repair.
-            crate::fail_point!("core.mspbfs.phase");
-            if let Some(max) = opts.max_iterations {
-                if depth >= max {
-                    break;
-                }
-            }
-            depth += 1;
-            let prev_direction = direction;
-            let wanted = opts.policy.decide(&FrontierState {
-                frontier_vertices,
-                frontier_degree,
-                unexplored_degree,
-                total_vertices: n as u64,
-                current: direction,
-            });
-            direction = match ctl.as_mut() {
-                Some(c) => c.decide_direction(depth, direction, wanted),
-                None => wanted,
-            };
-            crate::obs::note_iteration(depth, direction, depth > 1 && direction != prev_direction);
-            let scan = match mode {
-                FrontierMode::Flat => ScanStrategy::Flat,
-                FrontierMode::Summary => ScanStrategy::Summary,
-                FrontierMode::Auto => ctl.as_mut().unwrap().decide_scan(&FrontierSample {
-                    iteration: depth,
-                    frontier_vertices,
-                    frontier_degree,
-                    total_vertices: n as u64,
-                }),
-            };
-            if scan != cur_scan {
-                // Representation-switch boundary — a chaos site: a panic
-                // injected here must fail only this batch.
-                crate::fail_point!("core.adapt.switch");
-                cur_scan = scan;
-            }
-            let iter_start = std::time::Instant::now();
-            // Resolve the SIMD dispatch level once per iteration and thread
-            // it into the hot loops: `#[target_feature]` kernels cannot
-            // inline through the per-call dispatch, so the lookup (and the
-            // chaos failpoint inside it) is hoisted out of the per-vertex
-            // path.
-            let lvl = pbfs_bitset::simd::current();
-
-            let discovered = AtomicU64::new(0);
-            let new_fv = AtomicU64::new(0);
-            let new_fd = AtomicU64::new(0);
-            let fully_seen_deg = AtomicU64::new(0);
-            let workers = pool.num_workers();
-            let updated_pw = PerWorkerU64::new(workers);
-            let visited_pw = PerWorkerU64::new(workers);
-
-            let (seen, frontier, next) = (&self.seen, &self.frontier, &self.next);
-
-            let mut per_worker: Vec<WorkerIterStats> = Vec::new();
-            let (mut expand_ns, mut settle_ns) = (0u64, 0u64);
-            match direction {
-                Direction::TopDown => {
-                    // Sparse strategy: gather the frontier into a vertex
-                    // queue once so phase 1 is O(frontier) work instead of
-                    // a vertex-range scan. The cap equals the tracked
-                    // frontier size, so overflow (None) cannot happen;
-                    // fall back to the summary scan defensively if it does.
-                    let mut scan = scan;
-                    let list = if scan == ScanStrategy::Sparse {
-                        let l = pbfs_bitset::convert::gather_state(
-                            frontier,
-                            frontier_vertices as usize,
-                        );
-                        if l.is_none() {
-                            scan = ScanStrategy::Summary;
-                        }
-                        l
-                    } else {
-                        None
-                    };
-                    let p1_len = list.as_ref().map_or(n, |l| l.len());
-                    // Phase 1: frontier → next, synchronized by atomic OR.
-                    let phase1 = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let mut visited = 0u64;
-                        // Expand one frontier vertex, prefetching the state
-                        // entries of neighbors `pd` positions ahead so the
-                        // atomic OR hits warm cache lines.
-                        let mut expand = |v: usize, f: Bits<W>| {
-                            let nbrs = g.neighbors_fast(v as VertexId);
-                            if pd > 0 {
-                                for &nbr in &nbrs[..pd.min(nbrs.len())] {
-                                    next.prefetch_entry(nbr as usize);
-                                }
-                            }
-                            match opts.atomic {
-                                AtomicKind::FetchOr => {
-                                    for (j, &nbr) in nbrs.iter().enumerate() {
-                                        if pd > 0 && j + pd < nbrs.len() {
-                                            next.prefetch_entry(nbrs[j + pd] as usize);
-                                        }
-                                        next.fetch_or(nbr as usize, f);
-                                    }
-                                }
-                                AtomicKind::CasLoop => {
-                                    for (j, &nbr) in nbrs.iter().enumerate() {
-                                        if pd > 0 && j + pd < nbrs.len() {
-                                            next.prefetch_entry(nbrs[j + pd] as usize);
-                                        }
-                                        next.fetch_or_cas(nbr as usize, f);
-                                    }
-                                }
-                            }
-                            visited += nbrs.len() as u64;
-                        };
-                        match scan {
-                            ScanStrategy::Sparse => {
-                                // `r` indexes the gathered queue here, not
-                                // the vertex range.
-                                let entries = &list.as_deref().unwrap()[r];
-                                if pd > 0 {
-                                    for &(v, _) in entries.iter().take(pd) {
-                                        g.prefetch_offsets(v);
-                                    }
-                                }
-                                for (i, &(v, f)) in entries.iter().enumerate() {
-                                    if pd > 0 && i + pd < entries.len() {
-                                        g.prefetch_neighbors(entries[i + pd].0);
-                                    }
-                                    expand(v as usize, f);
-                                }
-                            }
-                            ScanStrategy::Flat => {
-                                for v in r {
-                                    let f = frontier.get(v);
-                                    if !f.is_empty() {
-                                        expand(v, f);
-                                    }
-                                }
-                            }
-                            ScanStrategy::Summary => {
-                                note_scan(frontier.for_each_active_chunk(
-                                    r.start,
-                                    r.end,
-                                    |cs, ce| {
-                                        // Gather the chunk's active vertices
-                                        // so the CSR pointer chase can be
-                                        // pipelined `pd` vertices deep. One
-                                        // vectorized mask pass finds them
-                                        // instead of W word loads per entry.
-                                        // SAFETY: phase 1 only reads
-                                        // `frontier` (all writes go to
-                                        // `next`), so no writer races the
-                                        // non-atomic scan.
-                                        let mut mask =
-                                            unsafe { frontier.nonempty_mask_at(lvl, cs, ce) };
-                                        let mut vbuf = [0u32; SUMMARY_CHUNK];
-                                        let mut fbuf = [Bits::<W>::EMPTY; SUMMARY_CHUNK];
-                                        let mut cnt = 0usize;
-                                        while mask != 0 {
-                                            let v = cs + mask.trailing_zeros() as usize;
-                                            mask &= mask - 1;
-                                            vbuf[cnt] = v as u32;
-                                            fbuf[cnt] = frontier.get(v);
-                                            cnt += 1;
-                                        }
-                                        if pd > 0 {
-                                            for &v in &vbuf[..cnt] {
-                                                g.prefetch_offsets(v);
-                                            }
-                                        }
-                                        for i in 0..cnt {
-                                            if pd > 0 && i + pd < cnt {
-                                                g.prefetch_neighbors(vbuf[i + pd]);
-                                            }
-                                            expand(vbuf[i] as usize, fbuf[i]);
-                                        }
-                                    },
-                                ));
-                            }
-                        }
-                        visited_pw.add(owner, visited);
-                    };
-                    // Phase 2: conflict-free discovery + frontier clearing.
-                    let phase2 = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let (mut disc, mut fv, mut fd, mut full_deg, mut upd) =
-                            (0u64, 0u64, 0u64, 0u64, 0u64);
-                        let mut settle = |v: usize| {
-                            let nx = next.get(v);
-                            if nx.is_empty() {
-                                return;
-                            }
-                            // Fused kernel: one pass computes `new`, the
-                            // merged seen set and the emptiness/trim flags,
-                            // replacing the separate and_not / compare /
-                            // is_empty walks. The popcount runs only for
-                            // entries that actually discovered something.
-                            let seen_v = seen.get(v);
-                            let (new, merged, flags) = nx.settle_at(lvl, &seen_v);
-                            if flags.trimmed {
-                                next.set(v, new);
-                            }
-                            if flags.new_any {
-                                seen.set(v, merged);
-                                visitor.on_found(v as VertexId, depth, new);
-                                let bits = new.count_ones() as u64;
-                                disc += bits;
-                                upd += bits;
-                                fv += 1;
-                                fd += g.degree(v as VertexId) as u64;
-                                if merged == full {
-                                    full_deg += g.degree(v as VertexId) as u64;
-                                }
-                            }
-                        };
-                        match scan {
-                            ScanStrategy::Sparse => {
-                                // The gathered frontier entries were already
-                                // cleared after phase 1; only `next` needs
-                                // settling, guided by its summary. One mask
-                                // pass per chunk finds the non-empty entries.
-                                // SAFETY: phase-2 ranges are bijectively
-                                // owned — no other thread touches this chunk
-                                // of `next` until the barrier.
-                                note_scan(next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                                    let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
-                                    while mask != 0 {
-                                        let v = cs + mask.trailing_zeros() as usize;
-                                        mask &= mask - 1;
-                                        settle(v);
-                                    }
-                                }));
-                            }
-                            ScanStrategy::Flat => {
-                                for v in r {
-                                    frontier.clear_entry(v);
-                                    settle(v);
-                                }
-                            }
-                            ScanStrategy::Summary => {
-                                // Nothing reads `frontier` this phase: clear
-                                // only its active chunks (ranges are chunk-
-                                // aligned, so summary bits clear exactly).
-                                // SAFETY (both): phase-2 ranges are
-                                // bijectively owned, so this worker has the
-                                // chunk to itself until the barrier.
-                                note_scan(frontier.for_each_active_chunk(
-                                    r.start,
-                                    r.end,
-                                    |cs, ce| unsafe { frontier.clear_range_owned(cs, ce) },
-                                ));
-                                note_scan(next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                                    let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
-                                    while mask != 0 {
-                                        let v = cs + mask.trailing_zeros() as usize;
-                                        mask &= mask - 1;
-                                        settle(v);
-                                    }
-                                }));
-                            }
-                        }
-                        discovered.fetch_add(disc, Ordering::Relaxed);
-                        new_fv.fetch_add(fv, Ordering::Relaxed);
-                        new_fd.fetch_add(fd, Ordering::Relaxed);
-                        fully_seen_deg.fetch_add(full_deg, Ordering::Relaxed);
-                        updated_pw.add(owner, upd);
-                    };
-                    // After a sparse phase 1 the frontier is cleared by
-                    // replaying the gathered queue — O(frontier) entry
-                    // clears on the coordinating thread. Entry clears leave
-                    // summary marks set, which is the conservative
-                    // direction for any later summary-guided scan.
-                    let clear_gathered = || {
-                        if let Some(entries) = &list {
-                            for &(v, _) in entries {
-                                frontier.clear_entry(v as usize);
-                            }
-                        }
-                    };
-                    if opts.instrument {
-                        // Phase walls measured directly (not via the
-                        // recorder, which yields no timestamps while trace
-                        // recording is off) so profiles work untraced.
-                        let t1 = std::time::Instant::now();
-                        let s1 =
-                            pool.parallel_for_instrumented(p1_len, split, |w, r, _| phase1(w, r));
-                        let d1 = t1.elapsed();
-                        rec.span_at_ctx(
-                            0,
-                            EventKind::TopDownPhase1,
-                            t1,
-                            d1,
-                            frontier_vertices,
-                            0,
-                            qset,
-                        );
-                        clear_gathered();
-                        let t2 = std::time::Instant::now();
-                        let s2 = pool.parallel_for_instrumented(n, split, |w, r, _| phase2(w, r));
-                        let d2 = t2.elapsed();
-                        rec.span_at_ctx(
-                            0,
-                            EventKind::TopDownPhase2,
-                            t2,
-                            d2,
-                            frontier_vertices,
-                            0,
-                            qset,
-                        );
-                        expand_ns = d1.as_nanos() as u64;
-                        settle_ns = d2.as_nanos() as u64;
-                        per_worker = merge_worker_stats_pub(
-                            &[s1, s2],
-                            &visited_pw.snapshot(),
-                            &updated_pw.snapshot(),
-                        );
-                    } else {
-                        let t1 = rec.start();
-                        pool.parallel_for(p1_len, split, phase1);
-                        rec.span_ctx(0, EventKind::TopDownPhase1, t1, frontier_vertices, 0, qset);
-                        clear_gathered();
-                        let t2 = rec.start();
-                        pool.parallel_for(n, split, phase2);
-                        rec.span_ctx(0, EventKind::TopDownPhase2, t2, frontier_vertices, 0, qset);
-                    }
-                }
-                Direction::BottomUp => {
-                    let body = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let (mut disc, mut fv, mut fd, mut full_deg, mut upd, mut visited) =
-                            (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-                        for u in r {
-                            let seen_u = seen.get(u);
-                            if seen_u == full {
-                                continue;
-                            }
-                            let nbrs = g.neighbors_fast(u as VertexId);
-                            if pd > 0 {
-                                for &v in &nbrs[..pd.min(nbrs.len())] {
-                                    frontier.prefetch_entry(v as usize);
-                                }
-                            }
-                            let mut acc = Bits::EMPTY;
-                            for (j, &v) in nbrs.iter().enumerate() {
-                                if pd > 0 && j + pd < nbrs.len() {
-                                    frontier.prefetch_entry(nbrs[j + pd] as usize);
-                                }
-                                visited += 1;
-                                acc |= frontier.get(v as usize);
-                                if opts.early_exit && (acc | seen_u) == full {
-                                    break;
-                                }
-                            }
-                            // Same fused kernel as the top-down settle:
-                            // and_not + emptiness + merge in one pass.
-                            let (new, merged, flags) = acc.settle_at(lvl, &seen_u);
-                            if flags.new_any {
-                                next.set(u, new);
-                                seen.set(u, merged);
-                                visitor.on_found(u as VertexId, depth, new);
-                                let bits = new.count_ones() as u64;
-                                disc += bits;
-                                upd += bits;
-                                fv += 1;
-                                fd += g.degree(u as VertexId) as u64;
-                                if merged == full {
-                                    full_deg += g.degree(u as VertexId) as u64;
-                                }
-                            }
-                        }
-                        discovered.fetch_add(disc, Ordering::Relaxed);
-                        new_fv.fetch_add(fv, Ordering::Relaxed);
-                        new_fd.fetch_add(fd, Ordering::Relaxed);
-                        fully_seen_deg.fetch_add(full_deg, Ordering::Relaxed);
-                        updated_pw.add(owner, upd);
-                        visited_pw.add(owner, visited);
-                    };
-                    if opts.instrument {
-                        let t = std::time::Instant::now();
-                        let s = pool.parallel_for_instrumented(n, split, |w, r, _| body(w, r));
-                        let d = t.elapsed();
-                        rec.span_at_ctx(0, EventKind::BottomUp, t, d, frontier_vertices, 0, qset);
-                        expand_ns = d.as_nanos() as u64;
-                        per_worker = merge_worker_stats_pub(
-                            &[s],
-                            &visited_pw.snapshot(),
-                            &updated_pw.snapshot(),
-                        );
-                    } else {
-                        let t = rec.start();
-                        pool.parallel_for(n, split, body);
-                        rec.span_ctx(0, EventKind::BottomUp, t, frontier_vertices, 0, qset);
-                    }
-                }
-            }
-
-            // Rotate buffers. After top-down, the old frontier was cleared
-            // in phase 2; after bottom-up it must be cleared explicitly
-            // because it is read throughout the single loop.
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            if direction == Direction::BottomUp {
-                let next = &self.next;
-                match scan {
-                    ScanStrategy::Flat => {
-                        pool.parallel_for(n, split, |_, r| next.clear_range(r.start, r.end));
-                    }
-                    ScanStrategy::Summary | ScanStrategy::Sparse => {
-                        // Only active chunks can hold stale bits.
-                        // SAFETY: the parallel_for ranges are disjoint and
-                        // nothing else touches `next` here, so each worker
-                        // owns its chunks outright.
-                        pool.parallel_for(n, split, |_, r| {
-                            note_scan(next.for_each_active_chunk(
-                                r.start,
-                                r.end,
-                                |cs, ce| unsafe { next.clear_range_owned(cs, ce) },
-                            ));
-                        });
-                    }
-                }
-            }
-
-            frontier_vertices = new_fv.load(Ordering::Relaxed);
-            frontier_degree = new_fd.load(Ordering::Relaxed);
-            unexplored_degree =
-                unexplored_degree.saturating_sub(fully_seen_deg.load(Ordering::Relaxed));
-            let discovered = discovered.load(Ordering::Relaxed);
-            stats.total_discovered += discovered;
-            let iter_wall = iter_start.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::Iteration,
-                iter_start,
-                iter_wall,
-                depth as u64,
-                discovered,
-                qset,
-            );
-            let total_skipped = sum_skipped.load(Ordering::Relaxed);
-            let total_scanned = sum_scanned.load(Ordering::Relaxed);
-            stats.iterations.push(IterationStats {
-                iteration: depth,
-                direction,
-                wall_ns: iter_wall.as_nanos() as u64,
-                expand_ns,
-                settle_ns,
-                frontier_vertices,
-                discovered,
-                chunks_scanned: total_scanned - prev_scanned,
-                chunks_skipped: total_skipped - prev_skipped,
-                per_worker,
-            });
-            prev_scanned = total_scanned;
-            prev_skipped = total_skipped;
-        }
-
-        if let Some(c) = ctl {
-            stats.adapt_decisions = c.into_log();
-        }
-        stats.summary_chunks_skipped = sum_skipped.load(Ordering::Relaxed);
-        stats.summary_chunks_scanned = sum_scanned.load(Ordering::Relaxed);
-        crate::obs::note_summary_scan(stats.summary_chunks_skipped, stats.summary_chunks_scanned);
-        crate::obs::note_traversal(stats.total_discovered);
-        stats.total_wall_ns = start.elapsed().as_nanos() as u64;
-        stats
+        driver::run(&mut batch, pool, opts, Schedule::adaptive(opts, 1))
     }
 }
 
-/// Combines per-phase scheduler stats with the algorithm-level counters
-/// into one [`WorkerIterStats`] row per worker.
-pub(crate) fn merge_worker_stats_pub(
-    phases: &[pbfs_sched::RunStats],
-    visited: &[u64],
-    updated: &[u64],
-) -> Vec<WorkerIterStats> {
-    let workers = phases.iter().map(|p| p.per_worker.len()).max().unwrap_or(0);
-    (0..workers)
-        .map(|w| {
-            let mut s = WorkerIterStats {
-                visited_neighbors: visited.get(w).copied().unwrap_or(0),
-                updated_states: updated.get(w).copied().unwrap_or(0),
-                ..Default::default()
-            };
-            for p in phases {
-                if let Some(pw) = p.per_worker.get(w) {
-                    s.busy_ns += pw.busy_ns;
-                    s.tasks += pw.tasks;
-                    s.stolen += pw.stolen;
-                    s.remote += pw.remote;
+/// One MS-PBFS traversal: the state arrays plus what the phase bodies
+/// read.
+struct Batch<'a, G: ?Sized, V, const W: usize> {
+    g: &'a G,
+    sources: &'a [VertexId],
+    opts: &'a BfsOptions,
+    visitor: &'a V,
+    /// The state of a vertex every BFS of the batch has seen.
+    full: Bits<W>,
+    seen: &'a StateArray<W>,
+    frontier: &'a StateArray<W>,
+    next: &'a StateArray<W>,
+}
+
+/// Seeds bit `i` of `seen` and `frontier` at `sources[i]` and reports each
+/// source at distance 0. Shared with the sharded kernel.
+pub(crate) fn seed_sources<G: Adjacency + ?Sized, const W: usize>(
+    g: &G,
+    sources: &[VertexId],
+    seen: &StateArray<W>,
+    frontier: &StateArray<W>,
+    visitor: &impl MsVisitor<W>,
+) -> Tally {
+    let mut t = Tally {
+        discovered: sources.len() as u64,
+        ..Tally::default()
+    };
+    for (i, &v) in sources.iter().enumerate() {
+        assert!((v as usize) < g.num_vertices(), "source out of range");
+        let bit = Bits::single(i);
+        if seen.get(v as usize).is_empty() {
+            t.frontier_vertices += 1;
+            t.frontier_degree += g.degree(v) as u64;
+        }
+        seen.or_assign_unsync(v as usize, bit);
+        frontier.or_assign_unsync(v as usize, bit);
+        visitor.on_found(v, 0, bit);
+    }
+    let full = Bits::<W>::first_n(sources.len());
+    for &v in sources {
+        if seen.get(v as usize) == full {
+            t.fully_seen_degree += g.degree(v) as u64;
+        }
+    }
+    t
+}
+
+impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Batch<'_, G, V, W> {
+    /// Expands one frontier vertex into `next`; returns the adjacency
+    /// entries scanned.
+    #[inline]
+    fn expand_vertex(&self, v: usize, f: Bits<W>) -> u64 {
+        let (next, pd) = (self.next, self.opts.prefetch_distance);
+        let nbrs = self.g.neighbors_fast(v as VertexId);
+        let warm = |i| next.prefetch_entry(i);
+        match self.opts.atomic {
+            AtomicKind::FetchOr => driver::prefetched(nbrs, pd, warm, |nbr| {
+                next.fetch_or(nbr as usize, f);
+                true
+            }),
+            AtomicKind::CasLoop => driver::prefetched(nbrs, pd, warm, |nbr| {
+                next.fetch_or_cas(nbr as usize, f);
+                true
+            }),
+        }
+        nbrs.len() as u64
+    }
+
+    /// Records the discovery of `new` at `v`, whose seen set is now
+    /// `merged`.
+    #[inline]
+    fn found(&self, t: &mut Tally, v: usize, depth: u32, new: Bits<W>, merged: Bits<W>) {
+        self.seen.set(v, merged);
+        self.visitor.on_found(v as VertexId, depth, new);
+        let deg = self.g.degree(v as VertexId) as u64;
+        t.discovered += new.count_ones() as u64;
+        t.frontier_vertices += 1;
+        t.frontier_degree += deg;
+        if merged == self.full {
+            t.fully_seen_degree += deg;
+        }
+    }
+}
+
+impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_, G, V, W> {
+    const PHASE_SITE: &'static str = "core.mspbfs.phase";
+    type Graph = G;
+    type Entry = (VertexId, Bits<W>);
+
+    fn graph(&self) -> &G {
+        self.g
+    }
+
+    fn init(&self, pool: &WorkerPool, split: usize) -> Tally {
+        let (seen, frontier, next) = (self.seen, self.frontier, self.next);
+        // Parallel init: each worker first-touches (and later processes)
+        // the same deterministic ranges — the NUMA placement rule of
+        // Section 4.4.
+        // SAFETY: the init ranges are disjoint per worker and nothing
+        // reads the arrays until the pool joins, so the bulk memset clear
+        // is exclusive.
+        pool.parallel_for(self.g.num_vertices(), split, |_, r| unsafe {
+            seen.clear_range_owned(r.start, r.end);
+            frontier.clear_range_owned(r.start, r.end);
+            next.clear_range_owned(r.start, r.end);
+        });
+        seed_sources(self.g, self.sources, seen, frontier, self.visitor)
+    }
+
+    fn gather(&self, cap: usize) -> Option<Vec<Self::Entry>> {
+        pbfs_bitset::convert::gather_state(self.frontier, cap)
+    }
+
+    fn clear_gathered(&self, queue: &[Self::Entry]) {
+        // Entry clears leave summary marks set, which is the conservative
+        // direction for any later summary-guided scan.
+        for &(v, _) in queue {
+            self.frontier.clear_entry(v as usize);
+        }
+    }
+
+    /// Phase 1: frontier → next, synchronized by atomic OR.
+    fn expand(&self, step: &Step, queue: Option<&[Self::Entry]>, r: Range<usize>) -> Tally {
+        let (g, frontier, pd) = (self.g, self.frontier, self.opts.prefetch_distance);
+        let mut t = Tally::default();
+        match step.scan {
+            ScanStrategy::Sparse => {
+                // `r` indexes the gathered queue here, not the vertex range.
+                let q = &queue.expect("sparse scan without a queue")[r];
+                let vertex = |i: usize| q[i].0;
+                driver::pipelined(g, pd, pd, q.len(), vertex, |i| {
+                    t.visited += self.expand_vertex(q[i].0 as usize, q[i].1)
+                });
+            }
+            ScanStrategy::Flat => {
+                for v in r {
+                    let f = frontier.get(v);
+                    if !f.is_empty() {
+                        t.visited += self.expand_vertex(v, f);
+                    }
                 }
             }
-            s
+            ScanStrategy::Summary => {
+                t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
+                    // Gather the chunk's active vertices so the CSR pointer
+                    // chase can be pipelined. One vectorized mask pass
+                    // finds them instead of W word loads per entry.
+                    // SAFETY: phase 1 only reads `frontier` (all writes go
+                    // to `next`), so no writer races the non-atomic scan.
+                    let mut mask = unsafe { frontier.nonempty_mask_at(step.lvl, cs, ce) };
+                    let mut vbuf = [0u32; SUMMARY_CHUNK];
+                    let mut fbuf = [Bits::<W>::EMPTY; SUMMARY_CHUNK];
+                    let mut cnt = 0usize;
+                    while mask != 0 {
+                        let v = cs + mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        vbuf[cnt] = v as u32;
+                        fbuf[cnt] = frontier.get(v);
+                        cnt += 1;
+                    }
+                    let vertex = |i: usize| vbuf[i];
+                    driver::pipelined(g, pd, cnt, cnt, vertex, |i| {
+                        t.visited += self.expand_vertex(vbuf[i] as usize, fbuf[i])
+                    });
+                });
+            }
+        }
+        t
+    }
+
+    /// Phase 2: conflict-free discovery + frontier clearing.
+    fn settle(&self, step: &Step, r: Range<usize>) -> Tally {
+        let (frontier, next, lvl) = (self.frontier, self.next, step.lvl);
+        let mut t = Tally::default();
+        let settle = |t: &mut Tally, v: usize| {
+            let nx = next.get(v);
+            if nx.is_empty() {
+                return;
+            }
+            // Fused kernel: one pass computes `new`, the merged seen set
+            // and the emptiness/trim flags, replacing the separate and_not
+            // / compare / is_empty walks. The popcount runs only for
+            // entries that actually discovered something.
+            let (new, merged, flags) = nx.settle_at(lvl, &self.seen.get(v));
+            if flags.trimmed {
+                next.set(v, new);
+            }
+            if flags.new_any {
+                self.found(t, v, step.depth, new, merged);
+            }
+        };
+        // One mask pass per active chunk of `next` finds the non-empty
+        // entries.
+        // SAFETY: phase-2 ranges are bijectively owned — no other thread
+        // touches this chunk of `next` until the barrier.
+        let settle_active = |t: &mut Tally| {
+            next.for_each_active_chunk(r.start, r.end, |cs, ce| {
+                let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
+                while mask != 0 {
+                    let v = cs + mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    settle(t, v);
+                }
+            })
+        };
+        match step.scan {
+            // The gathered frontier entries were already cleared after
+            // phase 1; only `next` needs settling.
+            ScanStrategy::Sparse => t.scan = settle_active(&mut t),
+            ScanStrategy::Flat => {
+                for v in r.clone() {
+                    frontier.clear_entry(v);
+                    settle(&mut t, v);
+                }
+            }
+            ScanStrategy::Summary => {
+                // Nothing reads `frontier` this phase: clear only its
+                // active chunks (ranges are chunk-aligned, so summary bits
+                // clear exactly).
+                // SAFETY: phase-2 ranges are bijectively owned, so this
+                // worker has the chunk to itself until the barrier.
+                t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
+                    frontier.clear_range_owned(cs, ce)
+                });
+                let s = settle_active(&mut t);
+                t.scan.merge(s);
+            }
+        }
+        t
+    }
+
+    fn bottom_up(&self, step: &Step, r: Range<usize>) -> Tally {
+        let (frontier, full, early_exit) = (self.frontier, self.full, self.opts.early_exit);
+        let warm = |i| frontier.prefetch_entry(i);
+        let mut t = Tally::default();
+        for u in r {
+            let seen_u = self.seen.get(u);
+            if seen_u == full {
+                continue;
+            }
+            let nbrs = self.g.neighbors_fast(u as VertexId);
+            let mut acc = Bits::EMPTY;
+            driver::prefetched(nbrs, self.opts.prefetch_distance, warm, |v| {
+                t.visited += 1;
+                acc |= frontier.get(v as usize);
+                !(early_exit && (acc | seen_u) == full)
+            });
+            // Same fused kernel as the top-down settle: and_not +
+            // emptiness + merge in one pass.
+            let (new, merged, flags) = acc.settle_at(step.lvl, &seen_u);
+            if flags.new_any {
+                self.next.set(u, new);
+                self.found(&mut t, u, step.depth, new, merged);
+            }
+        }
+        t
+    }
+
+    fn rotate(&mut self) {
+        std::mem::swap(&mut self.frontier, &mut self.next);
+    }
+
+    fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats {
+        let next = self.next;
+        if !active_only {
+            next.clear_range(r.start, r.end);
+            return ScanStats::default();
+        }
+        // SAFETY: the driver's clear ranges are disjoint and nothing else
+        // touches `next` then, so each worker owns its chunks outright.
+        next.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
+            next.clear_range_owned(cs, ce)
         })
-        .collect()
+    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,12 @@
 //! [`PartitionedCsr`](pbfs_graph::PartitionedCsr), the stepping
 //! stone to the 2D-decomposition distributed BFS of Buluç–Madduri.
 //!
-//! Each iteration runs two barrier-separated phases on the worker pool:
+//! The level loop is the shared traversal driver (`crate::driver`) on a
+//! fixed schedule: every level is top-down with summary-guided scans, on
+//! task ranges exactly at the partition split. Its two barrier-separated
+//! phases are the scatter and the gather:
 //!
-//! * **Scatter** — task ranges are placed exactly at the partition's
-//!   `split_size` boundaries, so every range's adjacency data lives in one
+//! * **Scatter** — every task range's adjacency data lives in one
 //!   partition segment. Expanding the frontier of a range merges neighbor
 //!   bits into that partition's *own* contribution array with an atomic OR
 //!   (writes stay partition-local; only the gather reads across
@@ -18,6 +20,11 @@
 //!   ORs the per-partition contributions per vertex, settles them against
 //!   `seen`, publishes the new frontier, and recycles the contribution
 //!   buffers for the next iteration.
+//!
+//! Instrumentation follows [`BfsOptions::instrument`] as in the other
+//! kernels: phase walls and per-worker rows (adjacency entries the
+//! scatter scanned, states the gather updated) are reported only when it
+//! is on.
 //!
 //! # Determinism across shard counts
 //!
@@ -30,22 +37,21 @@
 //! against the single-shard engine.
 //!
 //! Direction optimization (bottom-up) and sparse-queue scans are
-//! deliberately absent here: the scatter/gather exchange is the structure
-//! the distributed port needs, and the adaptive machinery of
-//! [`MsPbfs`](crate::mspbfs::MsPbfs) can be grafted onto it later without
-//! changing results.
+//! deliberately absent here: bottom-up would read the frontier across
+//! partitions and a gathered queue would mix partitions within one task
+//! range, both of which the scatter/gather exchange the distributed port
+//! needs exists to avoid.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 
 use crate::storage::ShardedAdjacency;
-use pbfs_bitset::{Bits, ScanStats, StateArray, SUMMARY_CHUNK};
+use pbfs_bitset::{ScanStats, StateArray, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
-use pbfs_telemetry::EventKind;
 
+use crate::driver::{self, Kernel, Schedule, Step, Tally};
 use crate::options::BfsOptions;
-use crate::policy::Direction;
-use crate::stats::{IterationStats, TraversalStats};
+use crate::stats::TraversalStats;
 use crate::visitor::MsVisitor;
 
 /// Reusable sharded multi-source BFS state for batches of up to `W * 64`
@@ -133,238 +139,176 @@ impl<const W: usize> ShardedMsBfs<W> {
         );
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.len() <= W * 64, "batch exceeds bitset width");
-        let start = std::time::Instant::now();
+        let mut exchange = Exchange {
+            part,
+            sources,
+            opts,
+            visitor,
+            seen: &self.seen,
+            frontier: &self.frontier,
+            contrib: &self.contrib,
+        };
         // Task ranges must match the partition split exactly: that is the
         // invariant making every scatter range single-partition. The engine
         // builds the partition with a chunk-aligned split; an unaligned one
         // merely makes range clears conservative, never incorrect.
-        let split = part.split_size();
-        let pd = opts.prefetch_distance;
-        let qset = opts.query_set;
-        let rec = pbfs_telemetry::recorder();
+        let schedule = Schedule::fixed_top_down(part.split_size());
+        driver::run(&mut exchange, pool, opts, schedule)
+    }
+}
 
+/// One sharded traversal: the state arrays plus what the phase bodies
+/// read. Top-down phase 1 is the scatter, phase 2 the gather.
+struct Exchange<'a, P: ?Sized, V, const W: usize> {
+    part: &'a P,
+    sources: &'a [VertexId],
+    opts: &'a BfsOptions,
+    visitor: &'a V,
+    seen: &'a StateArray<W>,
+    frontier: &'a StateArray<W>,
+    contrib: &'a [StateArray<W>],
+}
+
+impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
+    for Exchange<'_, P, V, W>
+{
+    const PHASE_SITE: &'static str = "core.sharded.phase";
+    type Graph = P;
+    type Entry = VertexId;
+
+    fn graph(&self) -> &P {
+        self.part
+    }
+
+    fn init(&self, pool: &WorkerPool, split: usize) -> Tally {
+        let n = self.part.num_vertices();
+        let (seen, frontier, contrib) = (self.seen, self.frontier, self.contrib);
         // Parallel init: each worker first-touches the same deterministic
         // ranges it will later process (Section 4.4 placement).
-        {
-            let (seen, frontier, contrib) = (&self.seen, &self.frontier, &self.contrib);
-            // SAFETY: init ranges are disjoint per worker and nothing reads
-            // the arrays until the pool joins.
-            pool.parallel_for(n, split, |_, r| unsafe {
-                seen.clear_range_owned(r.start, r.end);
-                frontier.clear_range_owned(r.start, r.end);
-                for c in contrib {
-                    c.clear_range_owned(r.start, r.end);
-                }
-            });
-        }
-
-        let mut frontier_vertices = 0u64;
-        for (i, &s) in sources.iter().enumerate() {
-            assert!((s as usize) < n, "source out of range");
-            let bit = Bits::single(i);
-            if self.seen.get(s as usize).is_empty() {
-                frontier_vertices += 1;
+        // SAFETY: init ranges are disjoint per worker and nothing reads
+        // the arrays until the pool joins.
+        pool.parallel_for(n, split, |_, r| unsafe {
+            seen.clear_range_owned(r.start, r.end);
+            frontier.clear_range_owned(r.start, r.end);
+            for c in contrib {
+                c.clear_range_owned(r.start, r.end);
             }
-            self.seen.or_assign_unsync(s as usize, bit);
-            self.frontier.or_assign_unsync(s as usize, bit);
-            visitor.on_found(s, 0, bit);
+        });
+        crate::mspbfs::seed_sources(self.part, self.sources, seen, frontier, self.visitor)
+    }
+
+    /// The fixed schedule never picks the sparse scan; `None` would fall
+    /// back to the summary scan.
+    fn gather(&self, _cap: usize) -> Option<Vec<VertexId>> {
+        None
+    }
+
+    fn clear_gathered(&self, _queue: &[VertexId]) {}
+
+    /// Scatter: expands each range's frontier through its owning
+    /// partition's segment into that partition's contribution array.
+    fn expand(&self, step: &Step, _queue: Option<&[VertexId]>, r: Range<usize>) -> Tally {
+        let (part, frontier, pd) = (self.part, self.frontier, self.opts.prefetch_distance);
+        let dst = &self.contrib[part.node_of(r.start as VertexId)];
+        let warm = |i| dst.prefetch_entry(i);
+        let mut t = Tally::default();
+        t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
+            // SAFETY: the scatter phase only reads `frontier` (all writes
+            // go to the contribution arrays), so the non-atomic mask scan
+            // cannot race a writer.
+            let mut mask = unsafe { frontier.nonempty_mask_at(step.lvl, cs, ce) };
+            while mask != 0 {
+                let v = cs + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let (f, nbrs) = (frontier.get(v), part.neighbors_fast(v as VertexId));
+                driver::prefetched(nbrs, pd, warm, |nbr| {
+                    dst.fetch_or(nbr as usize, f);
+                    true
+                });
+                t.visited += nbrs.len() as u64;
+            }
+        });
+        t
+    }
+
+    /// Gather: conflict-free per-vertex merge of all partitions'
+    /// contributions, settling against `seen`, publishing the new frontier
+    /// and recycling the contribution buffers. The scatter's phase barrier
+    /// guarantees every contribution is complete before any gather reads.
+    fn settle(&self, step: &Step, r: Range<usize>) -> Tally {
+        let (seen, frontier, lvl) = (self.seen, self.frontier, step.lvl);
+        // The old frontier is dead after the scatter barrier; clear it
+        // before the new one is published below.
+        // SAFETY (this and every unsafe call below): gather ranges
+        // partition the vertex space bijectively, so this worker has
+        // exclusive access to entries `r` of every array until the phase
+        // barrier.
+        let mut t = Tally {
+            scan: frontier.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
+                frontier.clear_range_owned(cs, ce)
+            }),
+            ..Tally::default()
+        };
+        let chunk0 = r.start / SUMMARY_CHUNK;
+        let nchunks = (r.end - 1) / SUMMARY_CHUNK - chunk0 + 1;
+        let mut active = vec![false; nchunks];
+        for c in self.contrib {
+            let s = c.for_each_active_chunk(r.start, r.end, |cs, _| {
+                active[cs / SUMMARY_CHUNK - chunk0] = true;
+            });
+            t.scan.merge(s);
         }
-
-        let mut stats = TraversalStats {
-            total_discovered: sources.len() as u64,
-            ..Default::default()
-        };
-        let mut depth = 0u32;
-        let sum_skipped = AtomicU64::new(0);
-        let sum_scanned = AtomicU64::new(0);
-        let (mut prev_skipped, mut prev_scanned) = (0u64, 0u64);
-        let note_scan = |s: ScanStats| {
-            sum_skipped.fetch_add(s.chunks_skipped, Ordering::Relaxed);
-            sum_scanned.fetch_add(s.chunks_scanned, Ordering::Relaxed);
-        };
-
-        while frontier_vertices > 0 {
-            // Iteration barrier boundary: arrays are consistent here, so an
-            // injected panic exercises the engine's per-shard repair path.
-            crate::fail_point!("core.sharded.phase");
-            if let Some(max) = opts.max_iterations {
-                if depth >= max {
-                    break;
+        // The first contribution array doubles as the union accumulator:
+        // the remaining partitions' chunks are OR-merged into it with one
+        // vectorized span pass each, and a mask scan then finds the
+        // non-empty entries — instead of `partitions × W` word loads per
+        // vertex.
+        let (acc, rest) = self.contrib.split_first().expect("at least one partition");
+        for (i, act) in active.iter().enumerate() {
+            if !act {
+                continue;
+            }
+            let cs = ((chunk0 + i) * SUMMARY_CHUNK).max(r.start);
+            let ce = ((chunk0 + i + 1) * SUMMARY_CHUNK).min(r.end);
+            let mut mask = unsafe {
+                for c in rest {
+                    acc.or_from_at(lvl, c, cs, ce);
+                }
+                acc.nonempty_mask_at(lvl, cs, ce)
+            };
+            while mask != 0 {
+                let v = cs + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                // Fused settle: and_not + emptiness + merge in one pass;
+                // popcount only on discovery.
+                let (new, merged, flags) = acc.get(v).settle_at(lvl, &seen.get(v));
+                if flags.new_any {
+                    seen.set(v, merged);
+                    self.visitor.on_found(v as VertexId, step.depth, new);
+                    frontier.set(v, new);
+                    t.discovered += new.count_ones() as u64;
+                    t.frontier_vertices += 1;
                 }
             }
-            depth += 1;
-            crate::obs::note_iteration(depth, Direction::TopDown, false);
-            let iter_start = std::time::Instant::now();
-            // Dispatch level hoisted out of the per-vertex loops (the
-            // `#[target_feature]` kernels cannot inline through it).
-            let lvl = pbfs_bitset::simd::current();
-
-            let discovered = AtomicU64::new(0);
-            let new_fv = AtomicU64::new(0);
-            let (seen, frontier, contrib) = (&self.seen, &self.frontier, &self.contrib);
-
-            // Scatter: expand each range's frontier through its owning
-            // partition's segment into that partition's contribution array.
-            let scatter = |_worker: usize, r: std::ops::Range<usize>| {
-                let dst = &contrib[part.node_of(r.start as VertexId)];
-                note_scan(frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                    // SAFETY: the scatter phase only reads `frontier` (all
-                    // writes go to the contribution arrays), so the
-                    // non-atomic mask scan cannot race a writer.
-                    let mut mask = unsafe { frontier.nonempty_mask_at(lvl, cs, ce) };
-                    while mask != 0 {
-                        let v = cs + mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let f = frontier.get(v);
-                        let nbrs = part.neighbors_fast(v as VertexId);
-                        if pd > 0 {
-                            for &nbr in &nbrs[..pd.min(nbrs.len())] {
-                                dst.prefetch_entry(nbr as usize);
-                            }
-                        }
-                        for (j, &nbr) in nbrs.iter().enumerate() {
-                            if pd > 0 && j + pd < nbrs.len() {
-                                dst.prefetch_entry(nbrs[j + pd] as usize);
-                            }
-                            dst.fetch_or(nbr as usize, f);
-                        }
-                    }
-                }));
-            };
-            let t1 = std::time::Instant::now();
-            pool.parallel_for(n, split, scatter);
-            // The parallel_for return is the iteration barrier: every
-            // partition's contribution is complete before any gather reads.
-            let d1 = t1.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::TopDownPhase1,
-                t1,
-                d1,
-                frontier_vertices,
-                0,
-                qset,
-            );
-
-            // Gather: conflict-free per-vertex merge of all partitions'
-            // contributions, settling against `seen` and recycling the
-            // contribution buffers.
-            let gather = |_worker: usize, r: std::ops::Range<usize>| {
-                // The old frontier is dead after the scatter barrier;
-                // clear it before the new one is published below.
-                // SAFETY (this and every unsafe call below): gather
-                // ranges partition the vertex space bijectively, so this
-                // worker has exclusive access to entries `r` of every
-                // array until the phase barrier.
-                note_scan(
-                    frontier.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
-                        frontier.clear_range_owned(cs, ce)
-                    }),
-                );
-                let chunk0 = r.start / SUMMARY_CHUNK;
-                let nchunks = (r.end - 1) / SUMMARY_CHUNK - chunk0 + 1;
-                let mut active = vec![false; nchunks];
-                for c in contrib {
-                    note_scan(c.for_each_active_chunk(r.start, r.end, |cs, _| {
-                        active[cs / SUMMARY_CHUNK - chunk0] = true;
-                    }));
+            unsafe {
+                acc.clear_range_owned(cs, ce);
+                for c in rest {
+                    c.clear_range_owned(cs, ce);
                 }
-                // The first contribution array doubles as the union
-                // accumulator: the remaining partitions' chunks are
-                // OR-merged into it with one vectorized span pass each,
-                // and a mask scan then finds the non-empty entries —
-                // instead of `partitions × W` word loads per vertex.
-                let (acc, rest) = contrib.split_first().expect("at least one partition");
-                let (mut disc, mut fv) = (0u64, 0u64);
-                for (i, act) in active.iter().enumerate() {
-                    if !act {
-                        continue;
-                    }
-                    let cs = ((chunk0 + i) * SUMMARY_CHUNK).max(r.start);
-                    let ce = ((chunk0 + i + 1) * SUMMARY_CHUNK).min(r.end);
-                    let mask = unsafe {
-                        for c in rest {
-                            acc.or_from_at(lvl, c, cs, ce);
-                        }
-                        acc.nonempty_mask_at(lvl, cs, ce)
-                    };
-                    let mut mask = mask;
-                    while mask != 0 {
-                        let v = cs + mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let nx = acc.get(v);
-                        // Fused settle: and_not + emptiness + merge in
-                        // one pass; popcount only on discovery.
-                        let seen_v = seen.get(v);
-                        let (new, merged, flags) = nx.settle_at(lvl, &seen_v);
-                        if flags.new_any {
-                            seen.set(v, merged);
-                            visitor.on_found(v as VertexId, depth, new);
-                            frontier.set(v, new);
-                            disc += new.count_ones() as u64;
-                            fv += 1;
-                        }
-                    }
-                    unsafe {
-                        acc.clear_range_owned(cs, ce);
-                        for c in rest {
-                            c.clear_range_owned(cs, ce);
-                        }
-                    }
-                }
-                discovered.fetch_add(disc, Ordering::Relaxed);
-                new_fv.fetch_add(fv, Ordering::Relaxed);
-            };
-            let t2 = std::time::Instant::now();
-            pool.parallel_for(n, split, gather);
-            let d2 = t2.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::TopDownPhase2,
-                t2,
-                d2,
-                frontier_vertices,
-                0,
-                qset,
-            );
-
-            frontier_vertices = new_fv.load(Ordering::Relaxed);
-            let discovered = discovered.load(Ordering::Relaxed);
-            stats.total_discovered += discovered;
-            let iter_wall = iter_start.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::Iteration,
-                iter_start,
-                iter_wall,
-                depth as u64,
-                discovered,
-                qset,
-            );
-            let total_skipped = sum_skipped.load(Ordering::Relaxed);
-            let total_scanned = sum_scanned.load(Ordering::Relaxed);
-            stats.iterations.push(IterationStats {
-                iteration: depth,
-                direction: Direction::TopDown,
-                wall_ns: iter_wall.as_nanos() as u64,
-                expand_ns: d1.as_nanos() as u64,
-                settle_ns: d2.as_nanos() as u64,
-                frontier_vertices,
-                discovered,
-                chunks_scanned: total_scanned - prev_scanned,
-                chunks_skipped: total_skipped - prev_skipped,
-                per_worker: Vec::new(),
-            });
-            prev_scanned = total_scanned;
-            prev_skipped = total_skipped;
+            }
         }
+        t
+    }
 
-        stats.summary_chunks_skipped = sum_skipped.load(Ordering::Relaxed);
-        stats.summary_chunks_scanned = sum_scanned.load(Ordering::Relaxed);
-        crate::obs::note_summary_scan(stats.summary_chunks_skipped, stats.summary_chunks_scanned);
-        crate::obs::note_traversal(stats.total_discovered);
-        stats.total_wall_ns = start.elapsed().as_nanos() as u64;
-        stats
+    fn bottom_up(&self, _step: &Step, _r: Range<usize>) -> Tally {
+        unreachable!("the sharded kernel runs a fixed top-down schedule")
+    }
+
+    /// The gather publishes the new frontier in place: nothing rotates.
+    fn rotate(&mut self) {}
+
+    fn clear_next(&self, _r: Range<usize>, _active_only: bool) -> ScanStats {
+        unreachable!("the sharded kernel runs a fixed top-down schedule")
     }
 }
 

@@ -14,19 +14,21 @@
 //! * [`SmsPbfsByte`] — one byte per vertex: 8× the memory, but the
 //!   top-down update is a plain atomic store and 8× fewer vertices share a
 //!   cache line.
+//!
+//! Both run the level loop of MS-PBFS, the traversal driver shared with
+//! it; this module supplies the boolean state and the phase bodies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 
 use crate::storage::Adjacency;
 use pbfs_bitset::{AtomicBitVec, AtomicByteVec, ScanStats, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
-use pbfs_telemetry::{EventKind, PerWorkerU64};
 
-use crate::adapt::{AdaptController, FrontierSample, ScanStrategy};
+use crate::adapt::ScanStrategy;
+use crate::driver::{self, Kernel, Schedule, Step, Tally};
 use crate::options::BfsOptions;
-use crate::policy::{Direction, FrontierMode, FrontierState};
-use crate::stats::{IterationStats, TraversalStats, WorkerIterStats};
+use crate::stats::TraversalStats;
 use crate::visitor::SsVisitor;
 
 /// Boolean per-vertex state shared by the SMS-PBFS variants.
@@ -295,434 +297,197 @@ impl<S: SsState> SmsPbfs<S> {
         let n = g.num_vertices();
         assert_eq!(self.seen.len(), n, "state sized for a different graph");
         assert!((source as usize) < n, "source out of range");
-        let start = std::time::Instant::now();
-        // Task ranges must respect the ownership granularity of the state
-        // representation so that `*_owned` accesses never share a word; in
-        // summary mode they additionally align to summary chunks so range
-        // clears cover whole chunks and clear summary bits exactly.
-        let align = match opts.frontier_mode {
-            FrontierMode::Summary | FrontierMode::Auto => S::OWNERSHIP_ALIGN.max(SUMMARY_CHUNK),
-            FrontierMode::Flat => S::OWNERSHIP_ALIGN,
+        let schedule = Schedule::adaptive(opts, S::OWNERSHIP_ALIGN);
+        let mut single = Single {
+            g,
+            source,
+            opts,
+            visitor,
+            seen: &self.seen,
+            frontier: &self.frontier,
+            next: &self.next,
         };
-        let split = pbfs_sched::aligned_split(opts.split_size.max(1), align);
-        let chunk = opts.chunk_skip;
-        let mode = opts.frontier_mode;
-        // Online controller: under `Auto` it samples the frontier each
-        // iteration and picks the scan strategy; the static modes map to a
-        // fixed strategy.
-        let mut ctl = (mode == FrontierMode::Auto).then(|| AdaptController::new(opts.adapt));
-        let mut cur_scan = match mode {
-            FrontierMode::Flat => ScanStrategy::Flat,
-            FrontierMode::Summary | FrontierMode::Auto => ScanStrategy::Summary,
-        };
-        let pd = opts.prefetch_distance;
-        let qset = opts.query_set;
-        let rec = pbfs_telemetry::recorder();
-
-        {
-            let (seen, frontier, next) = (&self.seen, &self.frontier, &self.next);
-            pool.parallel_for(n, split, |_, r| {
-                seen.clear_range(r.start, r.end);
-                frontier.clear_range(r.start, r.end);
-                next.clear_range(r.start, r.end);
-            });
-        }
-
-        self.seen.set_owned(source as usize);
-        self.frontier.set_owned(source as usize);
-        visitor.on_found(source, 0);
-
-        let mut stats = TraversalStats {
-            total_discovered: 1,
-            ..Default::default()
-        };
-        let mut frontier_vertices = 1u64;
-        let mut frontier_degree = g.degree(source) as u64;
-        let mut unexplored_degree = g.num_directed_edges() as u64 - g.degree(source) as u64;
-        let mut direction = Direction::TopDown;
-        let mut depth = 0u32;
-        // Whole-traversal summary-scan totals, fed from every phase;
-        // per-iteration deltas are carved out at each iteration's end.
-        let sum_skipped = AtomicU64::new(0);
-        let sum_scanned = AtomicU64::new(0);
-        let (mut prev_skipped, mut prev_scanned) = (0u64, 0u64);
-        let note_scan = |s: ScanStats| {
-            sum_skipped.fetch_add(s.chunks_skipped, Ordering::Relaxed);
-            sum_scanned.fetch_add(s.chunks_scanned, Ordering::Relaxed);
-        };
-
-        while frontier_vertices > 0 {
-            // Phase boundary: state arrays are consistent here, so an
-            // injected panic exercises the engine's mid-traversal repair.
-            crate::fail_point!("core.smspbfs.phase");
-            if let Some(max) = opts.max_iterations {
-                if depth >= max {
-                    break;
-                }
-            }
-            depth += 1;
-            let prev_direction = direction;
-            let wanted = opts.policy.decide(&FrontierState {
-                frontier_vertices,
-                frontier_degree,
-                unexplored_degree,
-                total_vertices: n as u64,
-                current: direction,
-            });
-            direction = match ctl.as_mut() {
-                Some(c) => c.decide_direction(depth, direction, wanted),
-                None => wanted,
-            };
-            crate::obs::note_iteration(depth, direction, depth > 1 && direction != prev_direction);
-            let scan = match mode {
-                FrontierMode::Flat => ScanStrategy::Flat,
-                FrontierMode::Summary => ScanStrategy::Summary,
-                FrontierMode::Auto => ctl.as_mut().unwrap().decide_scan(&FrontierSample {
-                    iteration: depth,
-                    frontier_vertices,
-                    frontier_degree,
-                    total_vertices: n as u64,
-                }),
-            };
-            if scan != cur_scan {
-                // Representation-switch boundary — a chaos site: a panic
-                // injected here must fail only this batch.
-                crate::fail_point!("core.adapt.switch");
-                cur_scan = scan;
-            }
-            let iter_start = std::time::Instant::now();
-
-            let discovered = AtomicU64::new(0);
-            let new_fd = AtomicU64::new(0);
-            let workers = pool.num_workers();
-            let updated_pw = PerWorkerU64::new(workers);
-            let visited_pw = PerWorkerU64::new(workers);
-            let (seen, frontier, next) = (&self.seen, &self.frontier, &self.next);
-
-            let mut per_worker: Vec<WorkerIterStats> = Vec::new();
-            let (mut expand_ns, mut settle_ns) = (0u64, 0u64);
-            match direction {
-                Direction::TopDown => {
-                    // Sparse strategy: gather the frontier into a vertex
-                    // queue once so phase 1 is O(frontier) work instead of
-                    // a vertex-range scan. The cap equals the tracked
-                    // frontier size, so overflow (None) cannot happen; fall
-                    // back to the summary scan defensively if it does.
-                    let mut scan = scan;
-                    let list = if scan == ScanStrategy::Sparse {
-                        let l = gather_sparse(frontier, frontier_vertices as usize);
-                        if l.is_none() {
-                            scan = ScanStrategy::Summary;
-                        }
-                        l
-                    } else {
-                        None
-                    };
-                    let p1_len = list.as_ref().map_or(n, |l| l.len());
-                    // Listing 3 lines 1–5: push to next, then clear the
-                    // owned frontier range for buffer reuse.
-                    let phase1 = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let mut visited = 0u64;
-                        // Expand one frontier vertex, prefetching the state
-                        // entries of neighbors `pd` positions ahead so the
-                        // claim hits warm cache lines.
-                        let mut expand = |v: usize| {
-                            let nbrs = g.neighbors_fast(v as VertexId);
-                            if pd > 0 {
-                                for &nbr in &nbrs[..pd.min(nbrs.len())] {
-                                    next.prefetch_entry(nbr as usize);
-                                }
-                            }
-                            for (j, &nbr) in nbrs.iter().enumerate() {
-                                if pd > 0 && j + pd < nbrs.len() {
-                                    next.prefetch_entry(nbrs[j + pd] as usize);
-                                }
-                                visited += 1;
-                                if next.set_shared(nbr as usize) {
-                                    visitor.on_tree_edge(v as VertexId, nbr);
-                                }
-                            }
-                        };
-                        match scan {
-                            ScanStrategy::Sparse => {
-                                // `r` indexes the gathered queue here, not
-                                // the vertex range; the gathered entries are
-                                // cleared after the phase barrier.
-                                let entries = &list.as_deref().unwrap()[r];
-                                if pd > 0 {
-                                    for &v in entries.iter().take(pd) {
-                                        g.prefetch_offsets(v);
-                                    }
-                                }
-                                for (i, &v) in entries.iter().enumerate() {
-                                    if pd > 0 && i + pd < entries.len() {
-                                        g.prefetch_neighbors(entries[i + pd]);
-                                    }
-                                    expand(v as usize);
-                                }
-                            }
-                            ScanStrategy::Flat => {
-                                frontier.for_each_set(r.start, r.end, chunk, &mut expand);
-                                frontier.clear_range(r.start, r.end);
-                            }
-                            ScanStrategy::Summary => {
-                                note_scan(frontier.for_each_active_chunk(
-                                    r.start,
-                                    r.end,
-                                    |cs, ce| {
-                                        // Gather the chunk's active vertices
-                                        // so the CSR pointer chase can be
-                                        // pipelined `pd` vertices deep.
-                                        let mut vbuf = [0u32; SUMMARY_CHUNK];
-                                        let mut cnt = 0usize;
-                                        frontier.for_each_set(cs, ce, chunk, |v| {
-                                            vbuf[cnt] = v as u32;
-                                            cnt += 1;
-                                        });
-                                        if pd > 0 {
-                                            for &v in &vbuf[..cnt] {
-                                                g.prefetch_offsets(v);
-                                            }
-                                        }
-                                        for i in 0..cnt {
-                                            if pd > 0 && i + pd < cnt {
-                                                g.prefetch_neighbors(vbuf[i + pd]);
-                                            }
-                                            expand(vbuf[i] as usize);
-                                        }
-                                        // Nothing reads this chunk again:
-                                        // clear it (and its summary bit —
-                                        // chunks are clear-exact here).
-                                        frontier.clear_range(cs, ce);
-                                    },
-                                ));
-                            }
-                        }
-                        visited_pw.add(owner, visited);
-                    };
-                    // Listing 3 lines 7–12: filter next by seen.
-                    let phase2 = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let (mut disc, mut fd) = (0u64, 0u64);
-                        let mut found = |v: usize| {
-                            visitor.on_found(v as VertexId, depth);
-                            disc += 1;
-                            fd += g.degree(v as VertexId) as u64;
-                        };
-                        match scan {
-                            ScanStrategy::Flat => {
-                                next.settle_into(seen, r.start, r.end, chunk, &mut found);
-                            }
-                            ScanStrategy::Summary | ScanStrategy::Sparse => {
-                                note_scan(next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                                    next.settle_into(seen, cs, ce, chunk, &mut found);
-                                }));
-                            }
-                        }
-                        discovered.fetch_add(disc, Ordering::Relaxed);
-                        new_fd.fetch_add(fd, Ordering::Relaxed);
-                        updated_pw.add(owner, disc);
-                    };
-                    // After a sparse phase 1 the frontier is cleared by
-                    // replaying the gathered queue on the coordinating
-                    // thread — no worker owns the entries then, so the
-                    // unsynchronized clears cannot share a word with a
-                    // concurrent writer.
-                    let clear_gathered = || {
-                        if let Some(entries) = &list {
-                            for &v in entries {
-                                frontier.clear_owned(v as usize);
-                            }
-                        }
-                    };
-                    if opts.instrument {
-                        // Phase walls measured directly (not via the
-                        // recorder, which yields no timestamps while trace
-                        // recording is off) so profiles work untraced.
-                        let t1 = std::time::Instant::now();
-                        let s1 =
-                            pool.parallel_for_instrumented(p1_len, split, |w, r, _| phase1(w, r));
-                        let d1 = t1.elapsed();
-                        rec.span_at_ctx(
-                            0,
-                            EventKind::TopDownPhase1,
-                            t1,
-                            d1,
-                            frontier_vertices,
-                            0,
-                            qset,
-                        );
-                        clear_gathered();
-                        let t2 = std::time::Instant::now();
-                        let s2 = pool.parallel_for_instrumented(n, split, |w, r, _| phase2(w, r));
-                        let d2 = t2.elapsed();
-                        rec.span_at_ctx(
-                            0,
-                            EventKind::TopDownPhase2,
-                            t2,
-                            d2,
-                            frontier_vertices,
-                            0,
-                            qset,
-                        );
-                        expand_ns = d1.as_nanos() as u64;
-                        settle_ns = d2.as_nanos() as u64;
-                        per_worker = crate::mspbfs::merge_worker_stats_pub(
-                            &[s1, s2],
-                            &visited_pw.snapshot(),
-                            &updated_pw.snapshot(),
-                        );
-                    } else {
-                        let t1 = rec.start();
-                        pool.parallel_for(p1_len, split, phase1);
-                        rec.span_ctx(0, EventKind::TopDownPhase1, t1, frontier_vertices, 0, qset);
-                        clear_gathered();
-                        let t2 = rec.start();
-                        pool.parallel_for(n, split, phase2);
-                        rec.span_ctx(0, EventKind::TopDownPhase2, t2, frontier_vertices, 0, qset);
-                    }
-                }
-                Direction::BottomUp => {
-                    // Listing 4: pull from frontier neighbors.
-                    let body = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let (mut disc, mut fd, mut visited) = (0u64, 0u64, 0u64);
-                        seen.for_each_clear(r.start, r.end, chunk, |u| {
-                            let nbrs = g.neighbors_fast(u as VertexId);
-                            if pd > 0 {
-                                for &v in &nbrs[..pd.min(nbrs.len())] {
-                                    frontier.prefetch_entry(v as usize);
-                                }
-                            }
-                            for (j, &v) in nbrs.iter().enumerate() {
-                                if pd > 0 && j + pd < nbrs.len() {
-                                    frontier.prefetch_entry(nbrs[j + pd] as usize);
-                                }
-                                visited += 1;
-                                if frontier.get(v as usize) {
-                                    next.set_owned(u);
-                                    seen.set_owned(u);
-                                    visitor.on_found(u as VertexId, depth);
-                                    visitor.on_tree_edge(v, u as VertexId);
-                                    disc += 1;
-                                    fd += g.degree(u as VertexId) as u64;
-                                    break;
-                                }
-                            }
-                        });
-                        discovered.fetch_add(disc, Ordering::Relaxed);
-                        new_fd.fetch_add(fd, Ordering::Relaxed);
-                        updated_pw.add(owner, disc);
-                        visited_pw.add(owner, visited);
-                    };
-                    if opts.instrument {
-                        let t = std::time::Instant::now();
-                        let s = pool.parallel_for_instrumented(n, split, |w, r, _| body(w, r));
-                        let d = t.elapsed();
-                        rec.span_at_ctx(0, EventKind::BottomUp, t, d, frontier_vertices, 0, qset);
-                        expand_ns = d.as_nanos() as u64;
-                        per_worker = crate::mspbfs::merge_worker_stats_pub(
-                            &[s],
-                            &visited_pw.snapshot(),
-                            &updated_pw.snapshot(),
-                        );
-                    } else {
-                        let t = rec.start();
-                        pool.parallel_for(n, split, body);
-                        rec.span_ctx(0, EventKind::BottomUp, t, frontier_vertices, 0, qset);
-                    }
-                }
-            }
-
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            if direction == Direction::BottomUp {
-                // The old frontier was read throughout the bottom-up loop
-                // and must be cleared before it can serve as `next`.
-                let next = &self.next;
-                match scan {
-                    ScanStrategy::Flat => {
-                        pool.parallel_for(n, split, |_, r| next.clear_range(r.start, r.end));
-                    }
-                    ScanStrategy::Summary | ScanStrategy::Sparse => {
-                        // Only active chunks can hold stale bits.
-                        pool.parallel_for(n, split, |_, r| {
-                            note_scan(next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                                next.clear_range(cs, ce)
-                            }));
-                        });
-                    }
-                }
-            }
-
-            let disc = discovered.load(Ordering::Relaxed);
-            frontier_vertices = disc;
-            frontier_degree = new_fd.load(Ordering::Relaxed);
-            unexplored_degree = unexplored_degree.saturating_sub(frontier_degree);
-            stats.total_discovered += disc;
-            let iter_wall = iter_start.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::Iteration,
-                iter_start,
-                iter_wall,
-                depth as u64,
-                disc,
-                qset,
-            );
-            let total_skipped = sum_skipped.load(Ordering::Relaxed);
-            let total_scanned = sum_scanned.load(Ordering::Relaxed);
-            stats.iterations.push(IterationStats {
-                iteration: depth,
-                direction,
-                wall_ns: iter_wall.as_nanos() as u64,
-                expand_ns,
-                settle_ns,
-                frontier_vertices,
-                discovered: disc,
-                chunks_scanned: total_scanned - prev_scanned,
-                chunks_skipped: total_skipped - prev_skipped,
-                per_worker,
-            });
-            prev_scanned = total_scanned;
-            prev_skipped = total_skipped;
-        }
-
-        if let Some(c) = ctl {
-            stats.adapt_decisions = c.into_log();
-        }
-        stats.summary_chunks_skipped = sum_skipped.load(Ordering::Relaxed);
-        stats.summary_chunks_scanned = sum_scanned.load(Ordering::Relaxed);
-        crate::obs::note_summary_scan(stats.summary_chunks_skipped, stats.summary_chunks_scanned);
-        crate::obs::note_traversal(stats.total_discovered);
-        stats.total_wall_ns = start.elapsed().as_nanos() as u64;
-        stats
+        driver::run(&mut single, pool, opts, schedule)
     }
 }
 
-/// Gathers the set entries of a state into a sorted vertex queue, walking
-/// only summary-active chunks. Returns `None` if more than `cap` entries
-/// are set (the caller's frontier count was stale — fall back to a range
-/// scan).
-fn gather_sparse<S: SsState>(s: &S, cap: usize) -> Option<Vec<u32>> {
-    let mut out = Vec::with_capacity(cap);
-    let mut overflow = false;
-    s.for_each_active_chunk(0, s.len(), |cs, ce| {
-        s.for_each_set(cs, ce, true, |v| {
-            if out.len() < cap {
-                out.push(v as u32);
-            } else {
-                overflow = true;
-            }
+/// One SMS-PBFS traversal: the state arrays plus what the phase bodies
+/// read.
+struct Single<'a, G: ?Sized, V, S> {
+    g: &'a G,
+    source: VertexId,
+    opts: &'a BfsOptions,
+    visitor: &'a V,
+    seen: &'a S,
+    frontier: &'a S,
+    next: &'a S,
+}
+
+impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V, S> {
+    const PHASE_SITE: &'static str = "core.smspbfs.phase";
+    type Graph = G;
+    type Entry = VertexId;
+
+    fn graph(&self) -> &G {
+        self.g
+    }
+
+    fn init(&self, pool: &WorkerPool, split: usize) -> Tally {
+        let (seen, frontier, next) = (self.seen, self.frontier, self.next);
+        pool.parallel_for(self.g.num_vertices(), split, |_, r| {
+            seen.clear_range(r.start, r.end);
+            frontier.clear_range(r.start, r.end);
+            next.clear_range(r.start, r.end);
         });
-    });
-    (!overflow).then_some(out)
+        seen.set_owned(self.source as usize);
+        frontier.set_owned(self.source as usize);
+        self.visitor.on_found(self.source, 0);
+        one_source(Tally {
+            discovered: 1,
+            frontier_degree: self.g.degree(self.source) as u64,
+            ..Tally::default()
+        })
+    }
+
+    /// Walks only summary-active chunks; the queue comes out sorted.
+    fn gather(&self, cap: usize) -> Option<Vec<VertexId>> {
+        let (s, mut out) = (self.frontier, Vec::with_capacity(cap));
+        s.for_each_active_chunk(0, s.len(), |cs, ce| {
+            s.for_each_set(cs, ce, true, |v| out.push(v as VertexId));
+        });
+        (out.len() <= cap).then_some(out)
+    }
+
+    fn clear_gathered(&self, queue: &[VertexId]) {
+        // No worker owns the entries between the phases, so the
+        // unsynchronized clears cannot share a word with a concurrent
+        // writer.
+        for &v in queue {
+            self.frontier.clear_owned(v as usize);
+        }
+    }
+
+    /// Listing 3 lines 1–5: push to next, then clear the owned frontier
+    /// range for buffer reuse.
+    fn expand(&self, step: &Step, queue: Option<&[VertexId]>, r: Range<usize>) -> Tally {
+        let (g, frontier, next) = (self.g, self.frontier, self.next);
+        let (pd, chunk) = (self.opts.prefetch_distance, self.opts.chunk_skip);
+        let mut t = Tally::default();
+        // Expand one frontier vertex, prefetching the state entries of
+        // neighbors ahead so the claim hits warm cache lines.
+        let warm = |i| next.prefetch_entry(i);
+        let mut expand = |v: usize| {
+            driver::prefetched(g.neighbors_fast(v as VertexId), pd, warm, |nbr| {
+                t.visited += 1;
+                if next.set_shared(nbr as usize) {
+                    self.visitor.on_tree_edge(v as VertexId, nbr);
+                }
+                true
+            });
+        };
+        match step.scan {
+            ScanStrategy::Sparse => {
+                // `r` indexes the gathered queue here, not the vertex
+                // range; the gathered entries are cleared after the phase
+                // barrier.
+                let q = &queue.expect("sparse scan without a queue")[r];
+                driver::pipelined(g, pd, pd, q.len(), |i| q[i], |i| expand(q[i] as usize));
+            }
+            ScanStrategy::Flat => {
+                frontier.for_each_set(r.start, r.end, chunk, &mut expand);
+                frontier.clear_range(r.start, r.end);
+            }
+            ScanStrategy::Summary => {
+                t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
+                    // Gather the chunk's active vertices so the CSR pointer
+                    // chase can be pipelined.
+                    let mut vbuf = [0u32; SUMMARY_CHUNK];
+                    let mut cnt = 0usize;
+                    frontier.for_each_set(cs, ce, chunk, |v| {
+                        vbuf[cnt] = v as u32;
+                        cnt += 1;
+                    });
+                    driver::pipelined(g, pd, cnt, cnt, |i| vbuf[i], |i| expand(vbuf[i] as usize));
+                    // Nothing reads this chunk again: clear it (and its
+                    // summary bit — chunks are clear-exact here).
+                    frontier.clear_range(cs, ce);
+                });
+            }
+        }
+        t
+    }
+
+    /// Listing 3 lines 7–12: filter next by seen.
+    fn settle(&self, step: &Step, r: Range<usize>) -> Tally {
+        let (g, seen, next) = (self.g, self.seen, self.next);
+        let chunk = self.opts.chunk_skip;
+        let mut t = Tally::default();
+        let mut found = |v: usize| {
+            self.visitor.on_found(v as VertexId, step.depth);
+            t.discovered += 1;
+            t.frontier_degree += g.degree(v as VertexId) as u64;
+        };
+        match step.scan {
+            ScanStrategy::Flat => next.settle_into(seen, r.start, r.end, chunk, &mut found),
+            ScanStrategy::Summary | ScanStrategy::Sparse => {
+                t.scan = next.for_each_active_chunk(r.start, r.end, |cs, ce| {
+                    next.settle_into(seen, cs, ce, chunk, &mut found);
+                });
+            }
+        }
+        one_source(t)
+    }
+
+    /// Listing 4: pull from frontier neighbors.
+    fn bottom_up(&self, step: &Step, r: Range<usize>) -> Tally {
+        let (g, seen, frontier, next) = (self.g, self.seen, self.frontier, self.next);
+        let pd = self.opts.prefetch_distance;
+        let mut t = Tally::default();
+        let warm = |i| frontier.prefetch_entry(i);
+        seen.for_each_clear(r.start, r.end, self.opts.chunk_skip, |u| {
+            driver::prefetched(g.neighbors_fast(u as VertexId), pd, warm, |v| {
+                t.visited += 1;
+                if !frontier.get(v as usize) {
+                    return true;
+                }
+                next.set_owned(u);
+                seen.set_owned(u);
+                self.visitor.on_found(u as VertexId, step.depth);
+                self.visitor.on_tree_edge(v, u as VertexId);
+                t.discovered += 1;
+                t.frontier_degree += g.degree(u as VertexId) as u64;
+                false
+            });
+        });
+        one_source(t)
+    }
+
+    fn rotate(&mut self) {
+        std::mem::swap(&mut self.frontier, &mut self.next);
+    }
+
+    fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats {
+        let next = self.next;
+        if !active_only {
+            next.clear_range(r.start, r.end);
+            return ScanStats::default();
+        }
+        next.for_each_active_chunk(r.start, r.end, |cs, ce| next.clear_range(cs, ce))
+    }
+}
+
+/// Completes a single-source tally: every discovery is one new frontier
+/// vertex, and its state is full as soon as it is seen.
+fn one_source(mut t: Tally) -> Tally {
+    t.frontier_vertices = t.discovered;
+    t.fully_seen_degree = t.frontier_degree;
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::DirectionPolicy;
+    use crate::policy::{DirectionPolicy, FrontierMode};
     use crate::textbook;
     use crate::visitor::{DistanceVisitor, NoopVisitor, PairVisitor, ParentVisitor};
     use pbfs_graph::gen;

@@ -36,7 +36,8 @@ pub struct IterationStats {
     /// Wall nanoseconds of the top-down settle/filter phase 2 (0 for
     /// bottom-up iterations or when instrumentation is off).
     pub settle_ns: u64,
-    /// Vertices in the frontier at the start of the iteration.
+    /// Vertices in the frontier the iteration produced, which the next
+    /// iteration starts from (0 at the end of a run to exhaustion).
     pub frontier_vertices: u64,
     /// States newly discovered in this iteration (bits for multi-source).
     pub discovered: u64,

@@ -22,13 +22,18 @@ Every run must report ``"correct": true`` and zero failed queries. The
 exit status is nonzero when any run is incorrect, a query failed, a
 bound is exceeded or unresolved, or the claim is not met.
 
+``--workload all`` runs every workload ``BENCHMARK.json`` declares, one
+after another, on the same two builds. It prints one table per workload
+and fails when any workload fails; a claim is then checked on every
+workload.
+
 The parent is exported with ``git archive REV | tar -x`` (no worktree)
 into a scratch directory; each side builds into its own
 ``CARGO_TARGET_DIR`` there. Pass ``--workdir`` to keep the directory and
 reuse its builds across invocations.
 
 Usage:
-    perfbench_ab.py --parent REV --workload W [--pairs 10] [--seed-base S]
+    perfbench_ab.py --parent REV --workload W|all [--pairs 10] [--seed-base S]
                     [--claim METRIC] [--workdir DIR]
     perfbench_ab.py --self-test
 """
@@ -252,13 +257,75 @@ def self_test():
     assert any("not an end-to-end metric" in p for p in problems), problems
 
     print(render(rows))
-    print("self-test ok: 9 scenarios passed")
+
+    # Every workload is judged: a regression on one of two workloads fails
+    # the whole run, and only that workload is blamed.
+    def canned(bench, src, target, workload, seed):
+        rss = 21.0 if (workload == "b" and src == "change-src") else 15.9
+        return 0, {"correct": True, "attempted": 100, "failed": 0,
+                   "metrics": {"cpu_ms_per_query": 1.5, "peak_rss_mb": rss}}
+    sides = {"parent": ("parent-src", "parent-target"),
+             "change": ("change-src", "change-target")}
+    problems = measure_all(bench, sides, ["a", "b"], 3, 1, None, "REV", canned)
+    assert problems and all(p.startswith("b: peak_rss_mb") for p in problems), problems
+    assert measure_all(bench, sides, ["a"], 3, 1, None, "REV", canned) == []
+
+    # An incorrect run fails its workload even when every metric is flat.
+    def wrong(bench, src, target, workload, seed):
+        bad = src == "change-src" and workload == "b"
+        return int(bad), dict(canned(bench, src, target, "a", seed)[1], correct=not bad)
+    problems = measure_all(bench, sides, ["a", "b"], 2, 1, None, "REV", wrong)
+    assert problems and all(p.startswith("b: change seed") for p in problems), problems
+    print("self-test ok: 11 scenarios passed")
+
+
+def measure(bench, sides, workload, pairs, seed_base, claim, runner=run):
+    """Runs alternating parent/change pairs of one workload on the same
+    seeds. Returns (metric pairs, problems)."""
+    got_pairs, problems = [], []
+    for i in range(pairs):
+        seed = seed_base + i
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        got = {}
+        for side in order:
+            code, result = runner(bench, *sides[side], workload, seed)
+            problem = run_problem(side, seed, code, result)
+            if problem:
+                problems.append(problem)
+            got[side] = result
+            value = result["metrics"].get(claim) if result and claim else None
+            print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side}: "
+                  f"{problem or 'ok'}{'' if value is None else f', {claim} {value:.6g}'}",
+                  file=sys.stderr)
+        if all(got[s] is not None for s in got):
+            got_pairs.append((got["parent"]["metrics"], got["change"]["metrics"]))
+    return got_pairs, problems
+
+
+def measure_all(bench, sides, workloads, pairs, seed_base, claim, parent, runner=run):
+    """Measures and judges every workload in turn, printing one table per
+    workload. Returns every workload's problems, each prefixed with its
+    workload's name."""
+    problems = []
+    for workload in workloads:
+        got_pairs, found = measure(bench, sides, workload, pairs, seed_base, claim, runner)
+        print(f"workload {workload}, {len(got_pairs)} pairs, seeds {seed_base}.."
+              f"{seed_base + pairs - 1}, {bench['run_seconds']} s runs, parent {parent}")
+        if got_pairs:
+            rows, verdict_problems = compare(bench, got_pairs, claim)
+            print(render(rows))
+            found += verdict_problems
+        for p in found:
+            print(f"problem: {p}")
+        problems += [f"{workload}: {p}" for p in found]
+    return problems
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="git revision to compare against (e.g. HEAD~1)")
-    ap.add_argument("--workload", help="workload name from BENCHMARK.json")
+    ap.add_argument("--workload",
+                    help="workload name from BENCHMARK.json, or 'all' for every one")
     ap.add_argument("--pairs", type=int, default=10, help="parent/change pairs (default 10)")
     ap.add_argument("--seed-base", type=int, default=1,
                     help="pair i runs both sides with seed SEED_BASE + i (default 1)")
@@ -277,8 +344,14 @@ def main():
 
     bench = load_benchmark(os.path.join(ROOT, "BENCHMARK.json"))
     names = [w["name"] for w in bench.get("workloads", [])]
-    if names and args.workload not in names:
+    if args.workload == "all":
+        if not names:
+            ap.error("BENCHMARK.json declares no workloads")
+        workloads = names
+    elif names and args.workload not in names:
         ap.error(f"unknown workload {args.workload!r} (BENCHMARK.json has {', '.join(names)})")
+    else:
+        workloads = [args.workload]
     manifest = manifest_of(bench)
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="perfbench-ab-")
@@ -293,36 +366,11 @@ def main():
         for side, (src, target) in sides.items():
             print(f"building {side} ...", file=sys.stderr)
             build(src, target, manifest)
-
-        pairs, problems = [], []
-        for i in range(args.pairs):
-            seed = args.seed_base + i
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            got = {}
-            for side in order:
-                code, result = run(bench, *sides[side], args.workload, seed)
-                problem = run_problem(side, seed, code, result)
-                if problem:
-                    problems.append(problem)
-                got[side] = result
-                value = result["metrics"].get(args.claim) if result and args.claim else None
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
-                      f"{problem or 'ok'}{'' if value is None else f', {args.claim} {value:.6g}'}",
-                      file=sys.stderr)
-            if all(got[s] is not None for s in got):
-                pairs.append((got["parent"]["metrics"], got["change"]["metrics"]))
+        problems = measure_all(bench, sides, workloads, args.pairs, args.seed_base,
+                               args.claim, args.parent)
     finally:
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)
-
-    print(f"workload {args.workload}, {len(pairs)} pairs, seeds {args.seed_base}.."
-          f"{args.seed_base + args.pairs - 1}, {bench['run_seconds']} s runs, parent {args.parent}")
-    if pairs:
-        rows, verdict_problems = compare(bench, pairs, args.claim)
-        print(render(rows))
-        problems += verdict_problems
-    for p in problems:
-        print(f"problem: {p}")
     if problems:
         sys.exit(1)
 

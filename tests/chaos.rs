@@ -537,3 +537,98 @@ fn narrow_flushes_never_enter_a_spawned_worker() {
     assert_eq!(stats.width_histogram.get(&64), Some(&2), "{stats:?}");
     assert_eq!(stats.batch_failures, 1, "{stats:?}");
 }
+
+/// Every kernel reaches its own failpoint sites through the shared
+/// traversal driver. Each level-head site is armed alone: only its own
+/// kernel panics there, the other two run through it untouched. The
+/// representation-switch site fires for both adaptive kernels under
+/// forced switching and never for the fixed sharded schedule.
+#[test]
+fn every_kernel_reaches_its_own_sites() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use pbfs::core::adapt::AdaptConfig;
+    use pbfs::core::options::BfsOptions;
+    use pbfs::core::prelude::{MsPbfs, NoopMsVisitor, NoopVisitor, ShardedMsBfs, SmsPbfsBit};
+    use pbfs::graph::PartitionedCsr;
+    use pbfs::sched::WorkerPool;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kernel {
+        MsPbfs,
+        SmsPbfs,
+        Sharded,
+    }
+    const KERNELS: [Kernel; 3] = [Kernel::MsPbfs, Kernel::SmsPbfs, Kernel::Sharded];
+
+    let _g = guard();
+    let g = gen::Kronecker::graph500(7).seed(9).generate();
+    let n = g.num_vertices();
+    let part = PartitionedCsr::partition(&g, 2, 2, 64);
+    let sources: Vec<u32> = (0..8).map(|i| i * 11 % n as u32).collect();
+    // Runs `kernel` on a fresh pool; true iff it panicked.
+    let panics = |kernel: Kernel, opts: &BfsOptions| -> bool {
+        let pool = WorkerPool::new(2);
+        catch_unwind(AssertUnwindSafe(|| match kernel {
+            Kernel::MsPbfs => {
+                let mut bfs: MsPbfs<1> = MsPbfs::new(n);
+                bfs.run(&g, &pool, &sources, opts, &NoopMsVisitor);
+            }
+            Kernel::SmsPbfs => {
+                SmsPbfsBit::new(n).run(&g, &pool, sources[0], opts, &NoopVisitor);
+            }
+            Kernel::Sharded => {
+                let mut bfs: ShardedMsBfs<1> = ShardedMsBfs::new(n, 2);
+                bfs.run(&part, &pool, &sources, opts, &NoopMsVisitor);
+            }
+        }))
+        .is_err()
+    };
+    let arm = |site: &str| {
+        pbfs::fault::clear_all();
+        pbfs::fault::configure(
+            site,
+            FailConfig::always(FailAction::Panic(None)).with_max(1),
+        );
+    };
+    let triggered = || -> Vec<(String, u64)> {
+        pbfs::fault::stats()
+            .into_iter()
+            .filter(|s| s.triggered > 0)
+            .map(|s| (s.site, s.triggered))
+            .collect()
+    };
+
+    let plain = BfsOptions::default();
+    for (site, owner) in [
+        ("core.mspbfs.phase", Kernel::MsPbfs),
+        ("core.smspbfs.phase", Kernel::SmsPbfs),
+        ("core.sharded.phase", Kernel::Sharded),
+    ] {
+        arm(site);
+        for other in KERNELS.into_iter().filter(|&k| k != owner) {
+            assert!(!panics(other, &plain), "{other:?} reached {site}");
+        }
+        assert!(panics(owner, &plain), "{owner:?} never reached {site}");
+        assert_eq!(triggered(), vec![(site.to_string(), 1)], "{site}");
+    }
+
+    let forced = BfsOptions::default().with_adapt(AdaptConfig::default().forced());
+    for kernel in [Kernel::MsPbfs, Kernel::SmsPbfs] {
+        arm("core.adapt.switch");
+        assert!(
+            !panics(Kernel::Sharded, &forced),
+            "sharded switched representation"
+        );
+        assert!(
+            panics(kernel, &forced),
+            "{kernel:?} never switched representation"
+        );
+        assert_eq!(
+            triggered(),
+            vec![("core.adapt.switch".to_string(), 1)],
+            "{kernel:?}"
+        );
+    }
+    pbfs::fault::clear_all();
+}
