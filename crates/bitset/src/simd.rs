@@ -1,11 +1,13 @@
 //! Runtime-dispatched SIMD kernels for the wide-bitset hot operations.
 //!
 //! The MS-BFS encoding turns every hot loop of the traversal kernels into a
-//! streaming pass over `W`-word bitsets: OR-merging frontiers, masking out
-//! already-seen traversals (`next & !seen`), testing emptiness and popcounts.
-//! This module provides those primitives over word *spans* — whole
-//! [`crate::StateArray`] ranges, 64-entry summary chunks, or a single
-//! `Bits<W>` — at the widest vector width the CPU offers.
+//! streaming pass over `W`-word bitsets. The kernels need four primitives:
+//! OR-merging a frontier span into another ([`or_span_unsync_at`]), the
+//! fused visit step `next & !seen` ([`settle_at`]), the "which entries of
+//! this summary chunk are active" scan ([`nonempty_mask_at`]) and a bulk
+//! span clear ([`clear_span_unsync`]). This module provides them over word
+//! *spans* — whole [`crate::StateArray`] ranges, 64-entry summary chunks,
+//! or a single `Bits<W>` — at the widest vector width the CPU offers.
 //!
 //! # Dispatch
 //!
@@ -210,13 +212,8 @@ pub struct SettleFlags {
     pub trimmed: bool,
 }
 
-/// `dst[i] |= src[i]` over two equal-length word slices.
-#[inline]
-pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-    or_assign_at(current(), dst, src);
-}
-
-/// [`or_assign`] at an explicit level (clamped to hardware support).
+/// `dst[i] |= src[i]` over two equal-length word slices, at an explicit
+/// level (clamped to hardware support).
 pub fn or_assign_at(level: SimdLevel, dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "or_assign length mismatch");
     match clamp_len(level, dst.len()) {
@@ -231,72 +228,6 @@ pub fn or_assign_at(level: SimdLevel, dst: &mut [u64], src: &[u64]) {
         SimdLevel::Sse2 => unsafe { isa::sse2::or_assign(dst, src) },
         _ => scalar::or_assign(dst, src),
     }
-}
-
-/// `out[i] = a[i] & !b[i]` — the newly-discovered mask `next & !seen`.
-#[inline]
-pub fn and_not(a: &[u64], b: &[u64], out: &mut [u64]) {
-    and_not_at(current(), a, b, out);
-}
-
-/// [`and_not`] at an explicit level (clamped to hardware support).
-pub fn and_not_at(level: SimdLevel, a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert!(
-        a.len() == b.len() && a.len() == out.len(),
-        "and_not length mismatch"
-    );
-    match clamp_len(level, out.len()) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp` proved the CPU supports the callee's feature.
-        SimdLevel::Avx512 => unsafe { isa::avx512::and_not(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { isa::avx2::and_not(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Sse2 => unsafe { isa::sse2::and_not(a, b, out) },
-        _ => scalar::and_not(a, b, out),
-    }
-}
-
-/// True iff every word is zero.
-#[inline]
-pub fn is_empty(words: &[u64]) -> bool {
-    is_empty_at(current(), words)
-}
-
-/// [`is_empty`] at an explicit level (clamped to hardware support).
-pub fn is_empty_at(level: SimdLevel, words: &[u64]) -> bool {
-    match clamp_len(level, words.len()) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp` proved the CPU supports the callee's feature.
-        SimdLevel::Avx512 => unsafe { isa::avx512::is_empty(words) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { isa::avx2::is_empty(words) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Sse2 => unsafe { isa::sse2::is_empty(words) },
-        _ => scalar::is_empty(words),
-    }
-}
-
-/// Total number of set bits across the slice.
-///
-/// Every level shares the scalar implementation: four `popcnt`-class u64
-/// popcounts per cycle already saturate the load ports, and the vector
-/// alternative needs AVX-512-VPOPCNTDQ, which the dispatch ladder does not
-/// gate on. The primitive still dispatches so callers and tests treat it
-/// uniformly.
-#[inline]
-pub fn count_ones(words: &[u64]) -> u64 {
-    count_ones_at(current(), words)
-}
-
-/// [`count_ones`] at an explicit level (identical at every level).
-pub fn count_ones_at(level: SimdLevel, words: &[u64]) -> u64 {
-    let _ = clamp(level);
-    scalar::count_ones(words)
 }
 
 /// Fused settle: `new[i] = next[i] & !seen[i]`, `merged[i] = next[i] |
@@ -437,20 +368,8 @@ pub(crate) mod scalar {
     }
 
     #[inline]
-    pub fn and_not(a: &[u64], b: &[u64], out: &mut [u64]) {
-        for ((o, a), b) in out.iter_mut().zip(a).zip(b) {
-            *o = *a & !*b;
-        }
-    }
-
-    #[inline]
     pub fn is_empty(words: &[u64]) -> bool {
         words.iter().all(|&w| w == 0)
-    }
-
-    #[inline]
-    pub fn count_ones(words: &[u64]) -> u64 {
-        words.iter().map(|w| w.count_ones() as u64).sum()
     }
 
     #[inline]
@@ -529,45 +448,6 @@ mod isa {
         /// # Safety
         /// CPU must support SSE2.
         #[target_feature(enable = "sse2")]
-        pub unsafe fn and_not(a: &[u64], b: &[u64], out: &mut [u64]) {
-            let n = out.len();
-            let ap = a.as_ptr();
-            let bp = b.as_ptr();
-            let op = out.as_mut_ptr();
-            let mut i = 0;
-            // SAFETY: `i + 2 <= n` keeps every 16-byte access in bounds.
-            while i + 2 <= n {
-                // `_mm_andnot_si128(x, y)` computes `!x & y`.
-                let av = _mm_loadu_si128(ap.add(i).cast());
-                let bv = _mm_loadu_si128(bp.add(i).cast());
-                _mm_storeu_si128(op.add(i).cast(), _mm_andnot_si128(bv, av));
-                i += 2;
-            }
-            if i < n {
-                out[i] = a[i] & !b[i];
-            }
-        }
-
-        /// # Safety
-        /// CPU must support SSE2.
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn is_empty(words: &[u64]) -> bool {
-            let n = words.len();
-            let p = words.as_ptr();
-            let mut i = 0;
-            // SAFETY: `i + 2 <= n` keeps every 16-byte load in bounds.
-            while i + 2 <= n {
-                if !is_zero128(_mm_loadu_si128(p.add(i).cast())) {
-                    return false;
-                }
-                i += 2;
-            }
-            i >= n || words[i] == 0
-        }
-
-        /// # Safety
-        /// CPU must support SSE2.
-        #[target_feature(enable = "sse2")]
         pub unsafe fn settle(
             next: &[u64],
             seen: &[u64],
@@ -641,44 +521,6 @@ mod isa {
             for (d, s) in dst[i..].iter_mut().zip(&src[i..]) {
                 *d |= *s;
             }
-        }
-
-        /// # Safety
-        /// CPU must support AVX2.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn and_not(a: &[u64], b: &[u64], out: &mut [u64]) {
-            let n = out.len();
-            let ap = a.as_ptr();
-            let bp = b.as_ptr();
-            let op = out.as_mut_ptr();
-            let mut i = 0;
-            // SAFETY: `i + 4 <= n` keeps every 32-byte access in bounds.
-            while i + 4 <= n {
-                let av = _mm256_loadu_si256(ap.add(i).cast());
-                let bv = _mm256_loadu_si256(bp.add(i).cast());
-                _mm256_storeu_si256(op.add(i).cast(), _mm256_andnot_si256(bv, av));
-                i += 4;
-            }
-            for j in i..n {
-                out[j] = a[j] & !b[j];
-            }
-        }
-
-        /// # Safety
-        /// CPU must support AVX2.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn is_empty(words: &[u64]) -> bool {
-            let n = words.len();
-            let p = words.as_ptr();
-            let mut i = 0;
-            // SAFETY: `i + 4 <= n` keeps every 32-byte load in bounds.
-            while i + 4 <= n {
-                if !is_zero256(_mm256_loadu_si256(p.add(i).cast())) {
-                    return false;
-                }
-                i += 4;
-            }
-            words[i..].iter().all(|&w| w == 0)
         }
 
         /// # Safety
@@ -829,44 +671,6 @@ mod isa {
         /// # Safety
         /// CPU must support AVX-512F.
         #[target_feature(enable = "avx512f")]
-        pub unsafe fn and_not(a: &[u64], b: &[u64], out: &mut [u64]) {
-            let n = out.len();
-            let ap = a.as_ptr();
-            let bp = b.as_ptr();
-            let op = out.as_mut_ptr();
-            let mut i = 0;
-            // SAFETY: `i + 8 <= n` keeps every 64-byte access in bounds.
-            while i + 8 <= n {
-                let av = _mm512_loadu_si512(ap.add(i).cast());
-                let bv = _mm512_loadu_si512(bp.add(i).cast());
-                _mm512_storeu_si512(op.add(i).cast(), _mm512_andnot_si512(bv, av));
-                i += 8;
-            }
-            for j in i..n {
-                out[j] = a[j] & !b[j];
-            }
-        }
-
-        /// # Safety
-        /// CPU must support AVX-512F.
-        #[target_feature(enable = "avx512f")]
-        pub unsafe fn is_empty(words: &[u64]) -> bool {
-            let n = words.len();
-            let p = words.as_ptr();
-            let mut i = 0;
-            // SAFETY: `i + 8 <= n` keeps every 64-byte load in bounds.
-            while i + 8 <= n {
-                if !is_zero512(_mm512_loadu_si512(p.add(i).cast())) {
-                    return false;
-                }
-                i += 8;
-            }
-            words[i..].iter().all(|&w| w == 0)
-        }
-
-        /// # Safety
-        /// CPU must support AVX-512F.
-        #[target_feature(enable = "avx512f")]
         pub unsafe fn settle(
             next: &[u64],
             seen: &[u64],
@@ -993,9 +797,6 @@ mod tests {
         for level in SimdLevel::ALL {
             let mut d: [u64; 0] = [];
             or_assign_at(level, &mut d, &[]);
-            and_not_at(level, &[], &[], &mut d);
-            assert!(is_empty_at(level, &[]));
-            assert_eq!(count_ones_at(level, &[]), 0);
             let mut m: [u64; 0] = [];
             let f = settle_at(level, &[], &[], &mut d, &mut m);
             assert!(!f.new_any && !f.trimmed);

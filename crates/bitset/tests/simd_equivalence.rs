@@ -9,9 +9,7 @@
 
 use proptest::prelude::*;
 
-use pbfs_bitset::simd::{
-    and_not_at, count_ones_at, is_empty_at, nonempty_mask_at, or_assign_at, settle_at,
-};
+use pbfs_bitset::simd::{nonempty_mask_at, or_assign_at, settle_at};
 use pbfs_bitset::{Bits, SimdLevel, StateArray};
 
 /// Scalar-reference results for one `(next, seen)` settle input.
@@ -48,37 +46,6 @@ proptest! {
             let mut dst = dst0.clone();
             or_assign_at(level, &mut dst, &src);
             prop_assert_eq!(&dst, &expected, "or_assign diverged at {:?}", level);
-        }
-    }
-
-    #[test]
-    fn and_not_matches_scalar_at_every_level(
-        pairs in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u32>()), 0..70),
-    ) {
-        let a: Vec<u64> = pairs.iter().map(|&(x, _, s)| sparse_word(x, s)).collect();
-        let b: Vec<u64> = pairs.iter().map(|&(_, y, s)| sparse_word(y, s >> 2)).collect();
-        let expected: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x & !y).collect();
-        for level in SimdLevel::ALL {
-            let mut out = vec![0u64; a.len()];
-            and_not_at(level, &a, &b, &mut out);
-            prop_assert_eq!(&out, &expected, "and_not diverged at {:?}", level);
-        }
-    }
-
-    #[test]
-    fn is_empty_and_count_match_scalar_at_every_level(
-        words in proptest::collection::vec((any::<u64>(), any::<u32>()), 0..70),
-        force_empty in any::<bool>(),
-    ) {
-        let mut w: Vec<u64> = words.iter().map(|&(v, s)| sparse_word(v, s)).collect();
-        if force_empty {
-            w.iter_mut().for_each(|x| *x = 0);
-        }
-        let empty = w.iter().all(|&x| x == 0);
-        let ones: u64 = w.iter().map(|x| x.count_ones() as u64).sum();
-        for level in SimdLevel::ALL {
-            prop_assert_eq!(is_empty_at(level, &w), empty, "is_empty diverged at {:?}", level);
-            prop_assert_eq!(count_ones_at(level, &w), ones, "count_ones diverged at {:?}", level);
         }
     }
 

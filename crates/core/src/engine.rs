@@ -14,7 +14,9 @@
 //! * A flush deadline ([`EngineConfig::max_latency`]) bounds the time any
 //!   query waits for co-batched company; a flush that would run a single
 //!   query degenerates to [`SmsPbfsBit`], the
-//!   representation the paper shows is strictly better at width 1.
+//!   representation the paper shows is strictly better at width 1. Sharded
+//!   engines run that singleton on [`ShardedMsBfs<1>`](ShardedMsBfs)
+//!   instead, like every other width (see Sharding below).
 //! * A flush whose work (queries × directed edges) is below
 //!   [`INLINE_FLUSH_WORK`] runs on the dispatcher thread alone: waking the
 //!   pool for every BFS phase costs more CPU than it saves on such flushes.
@@ -155,7 +157,7 @@ fn engine_metrics() -> &'static EngineMetrics {
             ),
             batch_width: r.histogram(
                 "pbfs_engine_batch_width",
-                "Chosen batch width per flush (1 = singleton SMS-PBFS path)",
+                "Chosen batch width per flush (1 = singleton flush: SMS-PBFS, or the scatter/gather kernel when sharded)",
                 &[1, 64, 128, 256, 512],
             ),
             // 1 µs .. ~4.2 s in powers of four.
@@ -481,8 +483,9 @@ pub struct EngineStats {
     /// Batches flushed, including singleton flushes.
     pub batches: u64,
     /// `width → batches flushed at that width`. Width 1 is the singleton
-    /// [`SmsPbfsBit`] path; the remaining keys
-    /// are the chosen [`BATCH_WIDTHS`].
+    /// path: [`SmsPbfsBit`] on an unsharded engine, [`ShardedMsBfs`] at
+    /// `W = 1` on a sharded one. The remaining keys are the chosen
+    /// [`BATCH_WIDTHS`].
     pub width_histogram: BTreeMap<usize, u64>,
     /// Median submit→result latency in nanoseconds; 0 until the first
     /// query completes (the underlying histogram reports no quantiles

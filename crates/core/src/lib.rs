@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::smspbfs::{SmsPbfsBit, SmsPbfsByte};
     pub use crate::stats::{IterationStats, TraversalStats};
     pub use crate::storage::{
-        Adjacency, EdgeMutation, GraphSnapshot, GraphStore, ShardedAdjacency, StoreConfig,
+        Adjacency, EdgeMutation, GraphSnapshot, GraphStore, ShardedAdjacency,
     };
     pub use crate::visitor::{
         DistanceVisitor, MsDistanceVisitor, MsVisitor, NoopMsVisitor, NoopVisitor, ParentVisitor,

@@ -57,9 +57,7 @@
 //! process from a drop.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use pbfs_graph::{CsrGraph, PartitionedCsr, VertexId};
 use pbfs_sched::WorkerPool;
@@ -509,45 +507,17 @@ impl ShardedAdjacency for ShardedSnapshot<'_> {
     }
 }
 
+/// Worker-pool size [`GraphStore::compact`] rebuilds the CSR with.
+const COMPACT_WORKERS: usize = 2;
+/// Task split size of the parallel rebuild in [`GraphStore::compact`].
+const COMPACT_SPLIT: usize = 256;
+
 /// Partition layout the store (re)builds for every epoch once enabled.
 #[derive(Clone, Copy, Debug)]
 struct PartSpec {
     nodes: usize,
     workers: usize,
     split: usize,
-}
-
-/// Configuration of a [`GraphStore`].
-#[derive(Clone, Copy, Debug)]
-pub struct StoreConfig {
-    /// Dirty-vertex count that triggers the background compactor after a
-    /// mutation batch. `None` (the default) disables the background
-    /// thread; [`GraphStore::compact`] still works on demand.
-    pub compact_threshold: Option<usize>,
-    /// Worker-pool size used to rebuild the CSR during compaction.
-    pub compact_workers: usize,
-    /// Task split size for the parallel rebuild.
-    pub split_size: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self {
-            compact_threshold: None,
-            compact_workers: 2,
-            split_size: 256,
-        }
-    }
-}
-
-/// Book-keeping between mutators and the background compactor.
-#[derive(Default)]
-struct CompactorSignal {
-    /// Compaction requests issued (threshold crossings).
-    requested: u64,
-    /// Requests the compactor has picked up.
-    served: u64,
-    shutdown: bool,
 }
 
 /// Versioned graph handle: the current epoch behind an RCU-style publish
@@ -558,12 +528,7 @@ pub struct GraphStore {
     /// Serializes writers (mutation batches, compactions, partition
     /// attach). Readers ([`Self::snapshot`]) never take this.
     write: Mutex<()>,
-    config: StoreConfig,
     part_spec: Mutex<Option<PartSpec>>,
-    /// Compactions that panicked or were fault-failed since creation.
-    compact_failures: AtomicU64,
-    signal: Arc<(Mutex<CompactorSignal>, Condvar)>,
-    compactor: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// Non-poisoning lock (a panicking writer must not wedge the store).
@@ -572,18 +537,12 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl GraphStore {
-    /// Wraps `base` as epoch 1 of a new store with default configuration.
+    /// Wraps `base` as epoch 1 of a new store.
     pub fn new(base: Arc<CsrGraph>) -> Arc<Self> {
-        Self::with_config(base, StoreConfig::default())
-    }
-
-    /// Wraps `base` as epoch 1; a `compact_threshold` spawns the
-    /// background compactor thread.
-    pub fn with_config(base: Arc<CsrGraph>, config: StoreConfig) -> Arc<Self> {
         let m = storage_metrics();
         m.epochs.inc();
         m.epochs_live.add(1);
-        let store = Arc::new(Self {
+        Arc::new(Self {
             current: RwLock::new(Arc::new(EpochInner {
                 epoch: 1,
                 base,
@@ -591,27 +550,9 @@ impl GraphStore {
                 delta: Arc::new(DeltaIndex::default()),
             })),
             write: Mutex::new(()),
-            config,
             part_spec: Mutex::new(None),
-            compact_failures: AtomicU64::new(0),
-            signal: Arc::new((Mutex::new(CompactorSignal::default()), Condvar::new())),
-            compactor: Mutex::new(None),
-        });
-        if config.compact_threshold.is_some() {
-            // The thread holds only a Weak reference and upgrades it
-            // transiently per compaction, so the store's drop (which joins
-            // this thread) is never kept alive by its own compactor.
-            let weak = Arc::downgrade(&store);
-            let signal = Arc::clone(&store.signal);
-            let handle = std::thread::Builder::new()
-                .name("pbfs-compactor".into())
-                .spawn(move || compactor_loop(&weak, &signal))
-                .expect("spawn compactor");
-            *lock(&store.compactor) = Some(handle);
-        }
-        store
+        })
     }
-
     /// Number of vertices — fixed for the store's lifetime; mutations are
     /// edge-level only.
     pub fn num_vertices(&self) -> usize {
@@ -621,12 +562,6 @@ impl GraphStore {
     /// The epoch currently being published to new snapshots.
     pub fn current_epoch(&self) -> u64 {
         self.read_current().epoch
-    }
-
-    /// Compactions that panicked or were fault-failed (the old epoch kept
-    /// serving each time).
-    pub fn compact_failures(&self) -> u64 {
-        self.compact_failures.load(Ordering::Relaxed)
     }
 
     /// Pins the current epoch. The snapshot (and every clone) keeps the
@@ -727,8 +662,6 @@ impl GraphStore {
         );
         let epoch = self.publish(Arc::clone(&cur.base), cur.part.clone(), Arc::new(delta), 0);
         storage_metrics().mutations.add(batch.len() as u64);
-        drop(cur);
-        self.maybe_request_compaction();
         Ok(epoch)
     }
 
@@ -757,12 +690,12 @@ impl GraphStore {
                 }
             }
         }
-        let pool = WorkerPool::new(self.config.compact_workers.max(1));
+        let pool = WorkerPool::new(COMPACT_WORKERS);
         let base = Arc::new(crate::build::build_csr_parallel(
             n,
             &edges,
             &pool,
-            self.config.split_size.max(1),
+            COMPACT_SPLIT,
         ));
         let part = lock(&self.part_spec).map(|spec| {
             Arc::new(PartitionedCsr::partition(
@@ -799,61 +732,6 @@ impl GraphStore {
         });
         pbfs_telemetry::recorder().mark(ENGINE_LANE, EventKind::EpochPublish, epoch, cause);
         epoch
-    }
-
-    fn maybe_request_compaction(&self) {
-        let Some(threshold) = self.config.compact_threshold else {
-            return;
-        };
-        if self.read_current().delta.dirty_vertices() < threshold {
-            return;
-        }
-        let (mutex, cv) = &*self.signal;
-        lock(mutex).requested += 1;
-        cv.notify_all();
-    }
-}
-
-impl Drop for GraphStore {
-    fn drop(&mut self) {
-        {
-            let (mutex, cv) = &*self.signal;
-            lock(mutex).shutdown = true;
-            cv.notify_all();
-        }
-        if let Some(handle) = lock(&self.compactor).take() {
-            // If the compactor's transient Arc was the last owner, this
-            // drop runs *on* the compactor thread — joining would deadlock.
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-/// Background compaction driver: waits for threshold crossings, upgrades
-/// the store transiently, and contains compaction panics so a fault-failed
-/// rebuild never kills the thread (the old epoch keeps serving).
-fn compactor_loop(store: &Weak<GraphStore>, signal: &(Mutex<CompactorSignal>, Condvar)) {
-    let (mutex, cv) = signal;
-    loop {
-        {
-            let mut s = lock(mutex);
-            while !s.shutdown && s.served >= s.requested {
-                s = cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-            }
-            if s.shutdown {
-                return;
-            }
-            s.served = s.requested;
-        }
-        let Some(store) = store.upgrade() else {
-            return;
-        };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.compact()));
-        if !matches!(outcome, Ok(Ok(_))) {
-            store.compact_failures.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -1065,30 +943,5 @@ mod tests {
         drop(pinned);
         drop(store);
         assert_eq!(pinned_epoch, 1);
-    }
-
-    #[test]
-    fn background_compactor_fires_at_threshold() {
-        let store = GraphStore::with_config(
-            Arc::new(gen::uniform(200, 600, 9)),
-            StoreConfig {
-                compact_threshold: Some(2),
-                ..StoreConfig::default()
-            },
-        );
-        store
-            .apply_batch(&[EdgeMutation::Insert(0, 100), EdgeMutation::Insert(3, 50)])
-            .unwrap();
-        // The compactor runs asynchronously; wait for it to clean the
-        // overlay (bounded).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while store.snapshot().has_deltas() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background compaction never happened"
-            );
-            std::thread::yield_now();
-        }
-        assert_eq!(store.compact_failures(), 0);
     }
 }

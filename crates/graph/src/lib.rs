@@ -38,7 +38,6 @@ pub mod io;
 pub mod labeling;
 pub mod partitioned;
 pub mod stats;
-pub mod transform;
 
 pub use csr::{BuildOptions, CsrGraph};
 pub use io::{GraphIoError, GraphMeta};

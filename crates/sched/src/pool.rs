@@ -382,69 +382,6 @@ impl WorkerPool {
         });
         collector.finish(start.elapsed().as_nanos() as u64)
     }
-
-    /// Static partitioning: worker `w` processes the `w`-th contiguous
-    /// chunk of `0..total`, with no stealing. This is the baseline strategy
-    /// that Figures 6 and 7 of the paper show to be badly skewed.
-    pub fn parallel_for_static(&self, total: usize, body: impl Fn(WorkerId, Range<usize>) + Sync) {
-        let n = self.num_workers();
-        let chunk = total.div_ceil(n.max(1)).max(1);
-        let rec = pbfs_telemetry::recorder();
-        let tracing = rec.is_enabled();
-        self.run(|worker| {
-            let start = (worker * chunk).min(total);
-            let end = ((worker + 1) * chunk).min(total);
-            if start < end {
-                if tracing {
-                    let t0 = Instant::now();
-                    body(worker, start..end);
-                    rec.span_at(
-                        worker,
-                        EventKind::Task,
-                        t0,
-                        t0.elapsed(),
-                        (end - start) as u64,
-                        0,
-                    );
-                } else {
-                    body(worker, start..end);
-                }
-                crate::instrument::note_loop(worker, 1, 0, 0);
-            }
-        });
-    }
-
-    /// Instrumented variant of [`Self::parallel_for_static`].
-    pub fn parallel_for_static_instrumented(
-        &self,
-        total: usize,
-        body: impl Fn(WorkerId, Range<usize>, &Probe) + Sync,
-    ) -> RunStats {
-        let n = self.num_workers();
-        let chunk = total.div_ceil(n.max(1)).max(1);
-        let collector = Collector::new(n);
-        let rec = pbfs_telemetry::recorder();
-        let tracing = rec.is_enabled();
-        let start_wall = Instant::now();
-        self.run(|worker| {
-            let probe = Probe {
-                collector: Some(&collector),
-                worker,
-            };
-            let start = (worker * chunk).min(total);
-            let end = ((worker + 1) * chunk).min(total);
-            if start < end {
-                let t0 = Instant::now();
-                body(worker, start..end, &probe);
-                let dt = t0.elapsed();
-                if tracing {
-                    rec.span_at(worker, EventKind::Task, t0, dt, (end - start) as u64, 0);
-                }
-                collector.record(worker, dt.as_nanos() as u64, 1, 0, 0, (end - start) as u64);
-            }
-        });
-        collector.finish(start_wall.elapsed().as_nanos() as u64)
-    }
 }
 
 /// Publishes `total` — the BFS workers the process was configured with,
@@ -614,29 +551,6 @@ mod tests {
         assert_eq!(stats.per_worker.iter().map(|w| w.items).sum::<u64>(), 1000);
         assert_eq!(stats.total_work(), 2000);
         assert!(stats.wall_ns > 0);
-    }
-
-    #[test]
-    fn static_partitioning_gives_contiguous_chunks() {
-        let pool = WorkerPool::new(4);
-        let ranges = Mutex::new(Vec::new());
-        pool.parallel_for_static(10, |w, r| {
-            ranges.lock().push((w, r));
-        });
-        let mut got = ranges.into_inner();
-        got.sort_by_key(|(w, r)| (*w, r.start));
-        assert_eq!(got, vec![(0, 0..3), (1, 3..6), (2, 6..9), (3, 9..10)]);
-    }
-
-    #[test]
-    fn static_instrumented_counts_one_task_per_worker() {
-        let pool = WorkerPool::new(3);
-        let stats = pool.parallel_for_static_instrumented(300, |_, r, p| {
-            p.add_work(r.len() as u64);
-        });
-        assert_eq!(stats.total_tasks(), 3);
-        assert_eq!(stats.total_stolen(), 0);
-        assert_eq!(stats.total_work(), 300);
     }
 
     #[test]

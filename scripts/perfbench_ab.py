@@ -27,6 +27,12 @@ after another, on the same two builds. It prints one table per workload
 and fails when any workload fails; a claim is then checked on every
 workload.
 
+``--json-out FILE`` writes every run and every verdict row to FILE:
+``{"parent": REV, "runs": [...], "verdicts": [...]}``. A run record holds
+its workload, pair, seed, side, exit code, ``correct``, ``attempted``,
+``failed`` and end-to-end metrics; a verdict row holds one metric's
+medians, quartiles, wins, ties and verdict on one workload.
+
 The parent is exported with ``git archive REV | tar -x`` (no worktree)
 into a scratch directory; each side builds into its own
 ``CARGO_TARGET_DIR`` there. Pass ``--workdir`` to keep the directory and
@@ -34,7 +40,7 @@ reuse its builds across invocations.
 
 Usage:
     perfbench_ab.py --parent REV --workload W|all [--pairs 10] [--seed-base S]
-                    [--claim METRIC] [--workdir DIR]
+                    [--claim METRIC] [--workdir DIR] [--json-out FILE]
     perfbench_ab.py --self-test
 """
 
@@ -179,6 +185,32 @@ def build(src, target, manifest):
                    cwd=src, env=env, check=True)
 
 
+def run_record(workload, pair, seed, side, returncode, result, names):
+    """One run as written by ``--json-out``."""
+    result = result or {}
+    metrics = result.get("metrics", {})
+    return {
+        "workload": workload, "pair": pair, "seed": seed, "side": side,
+        "exit": returncode, "correct": result.get("correct", False),
+        "attempted": result.get("attempted"), "failed": result.get("failed"),
+        "metrics": {n: metrics[n] for n in names if n in metrics},
+    }
+
+
+def verdict_record(workload, row):
+    """One verdict row as written by ``--json-out``."""
+    side = lambda t: {"median": t[0], "q1": t[1], "q3": t[2]}
+    return dict(row, workload=workload, parent=side(row["parent"]),
+                change=side(row["change"]))
+
+
+def write_report(path, report):
+    """Writes the ``--json-out`` report."""
+    with open(path, "w") as f:
+        json.dump(report, f, indent=1)
+        f.write("\n")
+
+
 def run(bench, src, target, workload, seed):
     """One benchmark run with the command BENCHMARK.json declares."""
     env = dict(os.environ, CARGO_TARGET_DIR=target)
@@ -266,23 +298,48 @@ def self_test():
                    "metrics": {"cpu_ms_per_query": 1.5, "peak_rss_mb": rss}}
     sides = {"parent": ("parent-src", "parent-target"),
              "change": ("change-src", "change-target")}
-    problems = measure_all(bench, sides, ["a", "b"], 3, 1, None, "REV", canned)
+    problems, report = measure_all(bench, sides, ["a", "b"], 3, 1, None, "REV", canned)
     assert problems and all(p.startswith("b: peak_rss_mb") for p in problems), problems
-    assert measure_all(bench, sides, ["a"], 3, 1, None, "REV", canned) == []
+    assert measure_all(bench, sides, ["a"], 3, 1, None, "REV", canned)[0] == []
+
+    # --json-out: one record per run (2 workloads x 3 pairs x 2 sides) and
+    # one verdict row per workload and metric, read back from the file.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "runs.json")
+        write_report(path, report)
+        with open(path) as f:
+            back = json.load(f)
+    assert back["parent"] == "REV", back
+    runs = back["runs"]
+    assert len(runs) == 12, runs
+    assert sorted((r["workload"], r["pair"], r["side"]) for r in runs) == sorted(
+        (w, p, s) for w in "ab" for p in (1, 2, 3) for s in ("parent", "change")), runs
+    assert all(r["exit"] == 0 and r["correct"] and r["attempted"] == 100
+               and r["failed"] == 0 and set(r["metrics"]) == {"cpu_ms_per_query",
+                                                              "peak_rss_mb"}
+               for r in runs), runs
+    assert [r["seed"] for r in runs if r["workload"] == "a"] == [1, 1, 2, 2, 3, 3], runs
+    verdicts = {(v["workload"], v["metric"]): v for v in back["verdicts"]}
+    assert len(verdicts) == 4, back["verdicts"]
+    assert verdicts["b", "peak_rss_mb"]["verdict"] == "REGRESSED", verdicts
+    assert verdicts["a", "peak_rss_mb"]["change"]["median"] == 15.9, verdicts
 
     # An incorrect run fails its workload even when every metric is flat.
     def wrong(bench, src, target, workload, seed):
         bad = src == "change-src" and workload == "b"
         return int(bad), dict(canned(bench, src, target, "a", seed)[1], correct=not bad)
-    problems = measure_all(bench, sides, ["a", "b"], 2, 1, None, "REV", wrong)
+    problems, report = measure_all(bench, sides, ["a", "b"], 2, 1, None, "REV", wrong)
     assert problems and all(p.startswith("b: change seed") for p in problems), problems
-    print("self-test ok: 11 scenarios passed")
+    bad = [r for r in report["runs"] if not r["correct"]]
+    assert [(r["workload"], r["side"], r["exit"]) for r in bad] == [("b", "change", 1)] * 2, bad
+    print("self-test ok: 12 scenarios passed")
 
 
 def measure(bench, sides, workload, pairs, seed_base, claim, runner=run):
     """Runs alternating parent/change pairs of one workload on the same
-    seeds. Returns (metric pairs, problems)."""
-    got_pairs, problems = [], []
+    seeds. Returns (metric pairs, problems, run records)."""
+    names = [m["name"] for m in bench["end_to_end"]]
+    got_pairs, problems, runs = [], [], []
     for i in range(pairs):
         seed = seed_base + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -293,32 +350,38 @@ def measure(bench, sides, workload, pairs, seed_base, claim, runner=run):
             if problem:
                 problems.append(problem)
             got[side] = result
+            runs.append(run_record(workload, i + 1, seed, side, code, result, names))
             value = result["metrics"].get(claim) if result and claim else None
             print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side}: "
                   f"{problem or 'ok'}{'' if value is None else f', {claim} {value:.6g}'}",
                   file=sys.stderr)
         if all(got[s] is not None for s in got):
             got_pairs.append((got["parent"]["metrics"], got["change"]["metrics"]))
-    return got_pairs, problems
+    return got_pairs, problems, runs
 
 
 def measure_all(bench, sides, workloads, pairs, seed_base, claim, parent, runner=run):
     """Measures and judges every workload in turn, printing one table per
     workload. Returns every workload's problems, each prefixed with its
-    workload's name."""
+    workload's name, and the ``--json-out`` report of every run and
+    verdict row."""
     problems = []
+    report = {"parent": parent, "runs": [], "verdicts": []}
     for workload in workloads:
-        got_pairs, found = measure(bench, sides, workload, pairs, seed_base, claim, runner)
+        got_pairs, found, runs = measure(bench, sides, workload, pairs, seed_base, claim,
+                                         runner)
+        report["runs"] += runs
         print(f"workload {workload}, {len(got_pairs)} pairs, seeds {seed_base}.."
               f"{seed_base + pairs - 1}, {bench['run_seconds']} s runs, parent {parent}")
         if got_pairs:
             rows, verdict_problems = compare(bench, got_pairs, claim)
             print(render(rows))
             found += verdict_problems
+            report["verdicts"] += [verdict_record(workload, r) for r in rows]
         for p in found:
             print(f"problem: {p}")
         problems += [f"{workload}: {p}" for p in found]
-    return problems
+    return problems, report
 
 
 def main():
@@ -331,6 +394,8 @@ def main():
                     help="pair i runs both sides with seed SEED_BASE + i (default 1)")
     ap.add_argument("--claim", help="end-to-end metric the change claims to improve")
     ap.add_argument("--workdir", help="keep exports and builds here and reuse them")
+    ap.add_argument("--json-out", metavar="FILE",
+                    help="write every run and verdict row to FILE as JSON")
     ap.add_argument("--self-test", action="store_true",
                     help="check parsing and verdicts on canned outputs and exit")
     args = ap.parse_args()
@@ -366,11 +431,13 @@ def main():
         for side, (src, target) in sides.items():
             print(f"building {side} ...", file=sys.stderr)
             build(src, target, manifest)
-        problems = measure_all(bench, sides, workloads, args.pairs, args.seed_base,
-                               args.claim, args.parent)
+        problems, report = measure_all(bench, sides, workloads, args.pairs,
+                                       args.seed_base, args.claim, args.parent)
     finally:
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)
+    if args.json_out:
+        write_report(args.json_out, report)
     if problems:
         sys.exit(1)
 

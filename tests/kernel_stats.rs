@@ -6,6 +6,12 @@
 //! `MsBfs`: the same number of iterations, the same discoveries and
 //! produced frontier per iteration, and the same total. The sharded
 //! kernel must also honour `BfsOptions::instrument` like the others.
+//!
+//! The engine runs each kernel on a `GraphSnapshot` when its epoch has
+//! deltas and on the plain `CsrGraph`/`PartitionedCsr` otherwise. Both
+//! arms must produce the same distances, direction decisions and levels,
+//! on a clean snapshot and on a dirty one against the CSR its compaction
+//! publishes.
 
 use pbfs::core::memory::MemoryModel;
 use pbfs::core::prelude::*;
@@ -154,4 +160,130 @@ fn instrumented_sharded_run_reports_per_worker_work() {
         );
         assert!(it.per_worker.is_empty(), "iteration {}", it.iteration);
     }
+}
+
+type Levels = Vec<(Direction, u64, u64)>;
+
+/// What the engine's two dispatch arms must agree on per iteration: the
+/// direction decision (which reads `degree` and `num_directed_edges`
+/// through the adjacency) and the level it produced.
+fn levels(s: &TraversalStats) -> Levels {
+    s.iterations
+        .iter()
+        .map(|it| (it.direction, it.discovered, it.frontier_vertices))
+        .collect()
+}
+
+fn run_ms<const W: usize, G: Adjacency + ?Sized>(
+    g: &G,
+    pool: &WorkerPool,
+    sources: &[u32],
+) -> (Levels, Vec<Vec<u32>>) {
+    let n = g.num_vertices();
+    let vis = MsDistanceVisitor::<W>::new(n, sources.len());
+    let stats = MsPbfs::<W>::new(n).run(g, pool, sources, &BfsOptions::default(), &vis);
+    (levels(&stats), vis.into_distances())
+}
+
+fn run_sms<G: Adjacency + ?Sized>(g: &G, pool: &WorkerPool, source: u32) -> (Levels, Vec<u32>) {
+    let n = g.num_vertices();
+    let vis = DistanceVisitor::new(n);
+    let stats = SmsPbfsBit::new(n).run(g, pool, source, &BfsOptions::default(), &vis);
+    (levels(&stats), vis.into_distances())
+}
+
+fn run_sharded<P: ShardedAdjacency + ?Sized>(
+    part: &P,
+    pool: &WorkerPool,
+    sources: &[u32],
+) -> (Levels, Vec<Vec<u32>>) {
+    let n = part.num_vertices();
+    let vis = MsDistanceVisitor::<1>::new(n, sources.len());
+    let stats = ShardedMsBfs::<1>::new(n, part.num_nodes()).run(
+        part,
+        pool,
+        sources,
+        &BfsOptions::default(),
+        &vis,
+    );
+    (levels(&stats), vis.into_distances())
+}
+
+/// Runs every kernel the engine dispatches (`MsPbfs<1>`, `MsPbfs<8>`,
+/// `SmsPbfsBit`, `ShardedMsBfs<1>`) once on `snap` and once on the plain
+/// `g`/`part` that must describe the same logical graph, and requires
+/// identical distances and per-iteration levels. Returns the levels of
+/// the `MsPbfs<1>` batch, whose first source is vertex 0.
+fn assert_arms_agree(
+    what: &str,
+    snap: &GraphSnapshot,
+    g: &CsrGraph,
+    part: &PartitionedCsr,
+    pool: &WorkerPool,
+) -> Levels {
+    let n = g.num_vertices() as u32;
+    let few: Vec<u32> = (0..64).map(|i| i * 7 % n).collect();
+    let many: Vec<u32> = (0..300).map(|i| i * 3 % n).collect();
+    let ms1 = run_ms::<1, _>(g, pool, &few);
+    assert_eq!(run_ms::<1, _>(snap, pool, &few), ms1, "{what}: MsPbfs<1>");
+    assert_eq!(
+        run_ms::<8, _>(snap, pool, &many),
+        run_ms::<8, _>(g, pool, &many),
+        "{what}: MsPbfs<8>"
+    );
+    for &s in &few[..4] {
+        assert_eq!(
+            run_sms(snap, pool, s),
+            run_sms(g, pool, s),
+            "{what}: SmsPbfsBit from {s}"
+        );
+    }
+    let view = snap.sharded_view().expect("partitioned store");
+    assert_eq!(
+        run_sharded(&view, pool, &few),
+        run_sharded(part, pool, &few),
+        "{what}: ShardedMsBfs<1>"
+    );
+    ms1.0
+}
+
+#[test]
+fn clean_snapshot_and_plain_csr_report_identical_levels() {
+    let pool = WorkerPool::new(WORKERS);
+    let g = gen::Kronecker::graph500(10).seed(7).generate();
+    let store = GraphStore::new(std::sync::Arc::new(g));
+    store.enable_partition(2, WORKERS, 64);
+    let snap = store.snapshot();
+    assert!(!snap.has_deltas());
+    let part = snap.part().expect("partitioned store");
+    let ms1 = assert_arms_agree("clean", &snap, snap.base(), part, &pool);
+    assert_eq!(ms1[0].0, Direction::BottomUp, "{ms1:?}");
+}
+
+/// A dirty snapshot against the CSR that compacting it publishes. The base
+/// is a 4000-cycle (8000 directed edges). The batch gives vertex 0 a
+/// 300-leaf star and cuts 2000 cycle edges, so the overlay's degree of 0
+/// is 302 against the base's 2 and its edge count 4600 against 8000. The
+/// seed-level direction test (frontier degree > unexplored degree / 15)
+/// of the `MsPbfs<1>` batch, which starts at 0, goes bottom-up on the true
+/// counts and would go top-down if either count were read from the base.
+#[test]
+fn dirty_snapshot_matches_the_csr_its_compaction_publishes() {
+    let pool = WorkerPool::new(WORKERS);
+    let store = GraphStore::new(std::sync::Arc::new(gen::cycle(4000)));
+    store.enable_partition(2, WORKERS, 64);
+    let mut batch: Vec<EdgeMutation> = (1..=300)
+        .map(|i| EdgeMutation::Insert(0, 10 * i + 5))
+        .collect();
+    batch.extend((1000..3000).map(|v| EdgeMutation::Delete(v, v + 1)));
+    store.apply_batch(&batch).unwrap();
+    let dirty = store.snapshot();
+    assert_eq!(dirty.num_directed_edges(), 4600);
+    assert_eq!(dirty.degree(0), 302);
+    store.compact().unwrap();
+    let compacted = store.snapshot();
+    assert!(!compacted.has_deltas());
+    let part = compacted.part().expect("compaction keeps the mirror");
+    let ms1 = assert_arms_agree("dirty", &dirty, compacted.base(), part, &pool);
+    assert_eq!(ms1[0].0, Direction::BottomUp, "{ms1:?}");
 }
