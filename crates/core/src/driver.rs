@@ -122,13 +122,14 @@ impl Schedule {
         }
     }
 
-    /// Every level top-down with summary scans, on ranges of exactly `split`.
-    pub fn fixed_top_down(split: usize) -> Self {
-        let (mode, policy) = (FrontierMode::Summary, DirectionPolicy::AlwaysTopDown);
+    /// Direction from `opts.policy`, summary scans, on ranges of exactly
+    /// `split`, so a partitioned kernel's task ranges never straddle two
+    /// partitions.
+    pub fn partitioned(opts: &BfsOptions, split: usize) -> Self {
         Self {
             split,
-            mode,
-            policy,
+            mode: FrontierMode::Summary,
+            policy: opts.policy,
         }
     }
 }

@@ -88,32 +88,30 @@ impl<const W: usize> MsPbfs<W> {
         assert_eq!(self.seen.len(), n, "state sized for a different graph");
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.len() <= W * 64, "batch exceeds bitset width");
-        let mut batch = Batch {
+        let mut batch = Batch::new(
             g,
             sources,
             opts,
             visitor,
-            full: Bits::first_n(sources.len()),
-            seen: &self.seen,
-            frontier: &self.frontier,
-            next: &self.next,
-        };
+            [&self.seen, &self.frontier, &self.next],
+        );
         driver::run(&mut batch, pool, opts, Schedule::adaptive(opts, 1))
     }
 }
 
 /// One MS-PBFS traversal: the state arrays plus what the phase bodies
-/// read.
-struct Batch<'a, G: ?Sized, V, const W: usize> {
-    g: &'a G,
-    sources: &'a [VertexId],
-    opts: &'a BfsOptions,
-    visitor: &'a V,
+/// read. The sharded kernel wraps one and runs its bottom-up phase,
+/// discovery accounting and recycling unchanged.
+pub(crate) struct Batch<'a, G: ?Sized, V, const W: usize> {
+    pub(crate) g: &'a G,
+    pub(crate) sources: &'a [VertexId],
+    pub(crate) opts: &'a BfsOptions,
+    pub(crate) visitor: &'a V,
     /// The state of a vertex every BFS of the batch has seen.
     full: Bits<W>,
-    seen: &'a StateArray<W>,
-    frontier: &'a StateArray<W>,
-    next: &'a StateArray<W>,
+    pub(crate) seen: &'a StateArray<W>,
+    pub(crate) frontier: &'a StateArray<W>,
+    pub(crate) next: &'a StateArray<W>,
 }
 
 /// Seeds bit `i` of `seen` and `frontier` at `sources[i]` and reports each
@@ -149,7 +147,27 @@ pub(crate) fn seed_sources<G: Adjacency + ?Sized, const W: usize>(
     t
 }
 
-impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Batch<'_, G, V, W> {
+impl<'a, G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Batch<'a, G, V, W> {
+    /// A traversal of `sources` over the `[seen, frontier, next]` arrays.
+    pub(crate) fn new(
+        g: &'a G,
+        sources: &'a [VertexId],
+        opts: &'a BfsOptions,
+        visitor: &'a V,
+        [seen, frontier, next]: [&'a StateArray<W>; 3],
+    ) -> Self {
+        Self {
+            g,
+            sources,
+            opts,
+            visitor,
+            full: Bits::first_n(sources.len()),
+            seen,
+            frontier,
+            next,
+        }
+    }
+
     /// Expands one frontier vertex into `next`; returns the adjacency
     /// entries scanned.
     #[inline]
@@ -168,6 +186,28 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Batch<'_, G, V, W> 
             }),
         }
         nbrs.len() as u64
+    }
+
+    /// Settles `next` at `v` against `seen`: trims it to the states new at
+    /// this depth, which stay in `next` as `v`'s frontier entry, and
+    /// records their discovery.
+    #[inline]
+    pub(crate) fn settle_vertex(&self, t: &mut Tally, step: &Step, v: usize) {
+        let nx = self.next.get(v);
+        if nx.is_empty() {
+            return;
+        }
+        // Fused kernel: one pass computes `new`, the merged seen set
+        // and the emptiness/trim flags, replacing the separate and_not
+        // / compare / is_empty walks. The popcount runs only for
+        // entries that actually discovered something.
+        let (new, merged, flags) = nx.settle_at(step.lvl, &self.seen.get(v));
+        if flags.trimmed {
+            self.next.set(v, new);
+        }
+        if flags.new_any {
+            self.found(t, v, step.depth, new, merged);
+        }
     }
 
     /// Records the discovery of `new` at `v`, whose seen set is now
@@ -276,23 +316,6 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
     fn settle(&self, step: &Step, r: Range<usize>) -> Tally {
         let (frontier, next, lvl) = (self.frontier, self.next, step.lvl);
         let mut t = Tally::default();
-        let settle = |t: &mut Tally, v: usize| {
-            let nx = next.get(v);
-            if nx.is_empty() {
-                return;
-            }
-            // Fused kernel: one pass computes `new`, the merged seen set
-            // and the emptiness/trim flags, replacing the separate and_not
-            // / compare / is_empty walks. The popcount runs only for
-            // entries that actually discovered something.
-            let (new, merged, flags) = nx.settle_at(lvl, &self.seen.get(v));
-            if flags.trimmed {
-                next.set(v, new);
-            }
-            if flags.new_any {
-                self.found(t, v, step.depth, new, merged);
-            }
-        };
         // One mask pass per active chunk of `next` finds the non-empty
         // entries.
         // SAFETY: phase-2 ranges are bijectively owned — no other thread
@@ -303,7 +326,7 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
                 while mask != 0 {
                     let v = cs + mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    settle(t, v);
+                    self.settle_vertex(t, step, v);
                 }
             })
         };
@@ -314,7 +337,7 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
             ScanStrategy::Flat => {
                 for v in r.clone() {
                     frontier.clear_entry(v);
-                    settle(&mut t, v);
+                    self.settle_vertex(&mut t, step, v);
                 }
             }
             ScanStrategy::Summary => {

@@ -6,10 +6,11 @@
 //! [`PartitionedCsr`](pbfs_graph::PartitionedCsr), the stepping
 //! stone to the 2D-decomposition distributed BFS of Buluç–Madduri.
 //!
-//! The level loop is the shared traversal driver (`crate::driver`) on a
-//! fixed schedule: every level is top-down with summary-guided scans, on
-//! task ranges exactly at the partition split. Its two barrier-separated
-//! phases are the scatter and the gather:
+//! The level loop is the shared traversal driver (`crate::driver`). Its
+//! direction comes from [`BfsOptions::policy`] as in MS-PBFS; every scan
+//! is summary-guided, on task ranges exactly at the partition split. A
+//! top-down level runs two barrier-separated phases, the scatter and the
+//! gather:
 //!
 //! * **Scatter** — every task range's adjacency data lives in one
 //!   partition segment. Expanding the frontier of a range merges neighbor
@@ -17,14 +18,24 @@
 //!   (writes stay partition-local; only the gather reads across
 //!   partitions).
 //! * **Gather** — after the `parallel_for` barrier, a conflict-free pass
-//!   ORs the per-partition contributions per vertex, settles them against
-//!   `seen`, publishes the new frontier, and recycles the contribution
-//!   buffers for the next iteration.
+//!   ORs the per-partition contributions per vertex into partition 0's
+//!   array, settles them there against `seen` and recycles the other
+//!   arrays. Partition 0's array then becomes the frontier, and the old
+//!   frontier, cleared by the gather, becomes partition 0's array.
+//!
+//! A **bottom-up** level is MS-PBFS's own phase body: each range pulls
+//! the frontier bits of its unseen vertices' neighbors, in whatever
+//! partition they lie, and writes only its own vertices' entries of `seen`
+//! and of partition 0's array, with no atomics. The cross-partition read
+//! is what a 2D-partitioned BFS gets by all-gathering the frontier before
+//! a bottom-up level (Buluç et al., arxiv 1705.04590), so it does not bind
+//! a distributed port. No state is added for it: partition 0's array
+//! serves as the bottom-up `next`, and the frontier rotates as in MS-PBFS.
 //!
 //! Instrumentation follows [`BfsOptions::instrument`] as in the other
 //! kernels: phase walls and per-worker rows (adjacency entries the
-//! scatter scanned, states the gather updated) are reported only when it
-//! is on.
+//! scatter or the pull scanned, states the gather or the pull updated)
+//! are reported only when it is on.
 //!
 //! # Determinism across shard counts
 //!
@@ -33,14 +44,14 @@
 //! observes is independent of scatter scheduling — and each `(source,
 //! vertex)` pair has exactly one BFS depth, so the visitor sees every
 //! discovery exactly once at that depth no matter how the work was sharded.
+//! The direction policy reads only sums over the discovered vertices (the
+//! frontier's degree and the degree of vertices every source has seen),
+//! so every partition count takes the same direction on every level.
 //! The oracle-differential suite in `tests/sharded_oracle.rs` checks this
 //! against the single-shard engine.
 //!
-//! Direction optimization (bottom-up) and sparse-queue scans are
-//! deliberately absent here: bottom-up would read the frontier across
-//! partitions and a gathered queue would mix partitions within one task
-//! range, both of which the scatter/gather exchange the distributed port
-//! needs exists to avoid.
+//! Sparse-queue scans are absent: a gathered queue would mix partitions
+//! within one task range, which the scatter exists to avoid.
 
 use std::ops::Range;
 
@@ -50,6 +61,7 @@ use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 
 use crate::driver::{self, Kernel, Schedule, Step, Tally};
+use crate::mspbfs::Batch;
 use crate::options::BfsOptions;
 use crate::stats::TraversalStats;
 use crate::visitor::MsVisitor;
@@ -76,6 +88,7 @@ pub struct ShardedMsBfs<const W: usize> {
     frontier: StateArray<W>,
     /// One `next`-frontier contribution buffer per adjacency partition;
     /// scatter writes only its own partition's buffer, gather reads all.
+    /// Partition 0's buffer is also the bottom-up `next`.
     contrib: Vec<StateArray<W>>,
 }
 
@@ -139,34 +152,35 @@ impl<const W: usize> ShardedMsBfs<W> {
         );
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.len() <= W * 64, "batch exceeds bitset width");
+        let (next, rest) = self.contrib.split_first().expect("at least one partition");
         let mut exchange = Exchange {
-            part,
-            sources,
-            opts,
-            visitor,
-            seen: &self.seen,
-            frontier: &self.frontier,
-            contrib: &self.contrib,
+            ms: Batch::new(
+                part,
+                sources,
+                opts,
+                visitor,
+                [&self.seen, &self.frontier, next],
+            ),
+            rest,
         };
         // Task ranges must match the partition split exactly: that is the
         // invariant making every scatter range single-partition. The engine
         // builds the partition with a chunk-aligned split; an unaligned one
         // merely makes range clears conservative, never incorrect.
-        let schedule = Schedule::fixed_top_down(part.split_size());
+        let schedule = Schedule::partitioned(opts, part.split_size());
         driver::run(&mut exchange, pool, opts, schedule)
     }
 }
 
-/// One sharded traversal: the state arrays plus what the phase bodies
-/// read. Top-down phase 1 is the scatter, phase 2 the gather.
+/// One sharded traversal: an MS-PBFS batch over the partitioned
+/// adjacency whose `next` is partition 0's contribution buffer, plus the
+/// buffers of the other partitions. Top-down phase 1 is the scatter,
+/// phase 2 the gather; bottom-up, discovery accounting and recycling are
+/// the batch's own.
 struct Exchange<'a, P: ?Sized, V, const W: usize> {
-    part: &'a P,
-    sources: &'a [VertexId],
-    opts: &'a BfsOptions,
-    visitor: &'a V,
-    seen: &'a StateArray<W>,
-    frontier: &'a StateArray<W>,
-    contrib: &'a [StateArray<W>],
+    ms: Batch<'a, P, V, W>,
+    /// The contribution buffers of partitions `1..`.
+    rest: &'a [StateArray<W>],
 }
 
 impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
@@ -177,28 +191,26 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
     type Entry = VertexId;
 
     fn graph(&self) -> &P {
-        self.part
+        self.ms.g
     }
 
     fn init(&self, pool: &WorkerPool, split: usize) -> Tally {
-        let n = self.part.num_vertices();
-        let (seen, frontier, contrib) = (self.seen, self.frontier, self.contrib);
+        let ms = &self.ms;
+        let (seen, frontier, next, rest) = (ms.seen, ms.frontier, ms.next, self.rest);
         // Parallel init: each worker first-touches the same deterministic
         // ranges it will later process (Section 4.4 placement).
         // SAFETY: init ranges are disjoint per worker and nothing reads
         // the arrays until the pool joins.
-        pool.parallel_for(n, split, |_, r| unsafe {
-            seen.clear_range_owned(r.start, r.end);
-            frontier.clear_range_owned(r.start, r.end);
-            for c in contrib {
-                c.clear_range_owned(r.start, r.end);
+        pool.parallel_for(ms.g.num_vertices(), split, |_, r| unsafe {
+            for a in [seen, frontier, next].into_iter().chain(rest) {
+                a.clear_range_owned(r.start, r.end);
             }
         });
-        crate::mspbfs::seed_sources(self.part, self.sources, seen, frontier, self.visitor)
+        crate::mspbfs::seed_sources(ms.g, ms.sources, seen, frontier, ms.visitor)
     }
 
-    /// The fixed schedule never picks the sparse scan; `None` would fall
-    /// back to the summary scan.
+    /// The schedule never picks the sparse scan; `None` would fall back to
+    /// the summary scan.
     fn gather(&self, _cap: usize) -> Option<Vec<VertexId>> {
         None
     }
@@ -208,8 +220,11 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
     /// Scatter: expands each range's frontier through its owning
     /// partition's segment into that partition's contribution array.
     fn expand(&self, step: &Step, _queue: Option<&[VertexId]>, r: Range<usize>) -> Tally {
-        let (part, frontier, pd) = (self.part, self.frontier, self.opts.prefetch_distance);
-        let dst = &self.contrib[part.node_of(r.start as VertexId)];
+        let (part, frontier) = (self.ms.g, self.ms.frontier);
+        let dst = match part.node_of(r.start as VertexId) {
+            0 => self.ms.next,
+            node => &self.rest[node - 1],
+        };
         let warm = |i| dst.prefetch_entry(i);
         let mut t = Tally::default();
         t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
@@ -221,7 +236,7 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
                 let v = cs + mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let (f, nbrs) = (frontier.get(v), part.neighbors_fast(v as VertexId));
-                driver::prefetched(nbrs, pd, warm, |nbr| {
+                driver::prefetched(nbrs, self.ms.opts.prefetch_distance, warm, |nbr| {
                     dst.fetch_or(nbr as usize, f);
                     true
                 });
@@ -232,13 +247,14 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
     }
 
     /// Gather: conflict-free per-vertex merge of all partitions'
-    /// contributions, settling against `seen`, publishing the new frontier
-    /// and recycling the contribution buffers. The scatter's phase barrier
-    /// guarantees every contribution is complete before any gather reads.
+    /// contributions into partition 0's buffer, settled there against
+    /// `seen` into the new frontier, which `rotate` then publishes. The
+    /// other buffers are recycled. The scatter's phase barrier guarantees
+    /// every contribution is complete before any gather reads.
     fn settle(&self, step: &Step, r: Range<usize>) -> Tally {
-        let (seen, frontier, lvl) = (self.seen, self.frontier, step.lvl);
+        let (frontier, acc, lvl) = (self.ms.frontier, self.ms.next, step.lvl);
         // The old frontier is dead after the scatter barrier; clear it
-        // before the new one is published below.
+        // for reuse as `next`.
         // SAFETY (this and every unsafe call below): gather ranges
         // partition the vertex space bijectively, so this worker has
         // exclusive access to entries `r` of every array until the phase
@@ -252,18 +268,16 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
         let chunk0 = r.start / SUMMARY_CHUNK;
         let nchunks = (r.end - 1) / SUMMARY_CHUNK - chunk0 + 1;
         let mut active = vec![false; nchunks];
-        for c in self.contrib {
+        for c in std::iter::once(acc).chain(self.rest) {
             let s = c.for_each_active_chunk(r.start, r.end, |cs, _| {
                 active[cs / SUMMARY_CHUNK - chunk0] = true;
             });
             t.scan.merge(s);
         }
-        // The first contribution array doubles as the union accumulator:
-        // the remaining partitions' chunks are OR-merged into it with one
-        // vectorized span pass each, and a mask scan then finds the
-        // non-empty entries — instead of `partitions × W` word loads per
-        // vertex.
-        let (acc, rest) = self.contrib.split_first().expect("at least one partition");
+        // The other partitions' chunks are OR-merged into partition 0's
+        // buffer with one vectorized span pass each, and a mask scan then
+        // finds the non-empty entries — instead of `partitions × W` word
+        // loads per vertex.
         for (i, act) in active.iter().enumerate() {
             if !act {
                 continue;
@@ -271,7 +285,7 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
             let cs = ((chunk0 + i) * SUMMARY_CHUNK).max(r.start);
             let ce = ((chunk0 + i + 1) * SUMMARY_CHUNK).min(r.end);
             let mut mask = unsafe {
-                for c in rest {
+                for c in self.rest {
                     acc.or_from_at(lvl, c, cs, ce);
                 }
                 acc.nonempty_mask_at(lvl, cs, ce)
@@ -279,36 +293,28 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
             while mask != 0 {
                 let v = cs + mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                // Fused settle: and_not + emptiness + merge in one pass;
-                // popcount only on discovery.
-                let (new, merged, flags) = acc.get(v).settle_at(lvl, &seen.get(v));
-                if flags.new_any {
-                    seen.set(v, merged);
-                    self.visitor.on_found(v as VertexId, step.depth, new);
-                    frontier.set(v, new);
-                    t.discovered += new.count_ones() as u64;
-                    t.frontier_vertices += 1;
-                }
+                self.ms.settle_vertex(&mut t, step, v);
             }
-            unsafe {
-                acc.clear_range_owned(cs, ce);
-                for c in rest {
-                    c.clear_range_owned(cs, ce);
-                }
+            for c in self.rest {
+                unsafe { c.clear_range_owned(cs, ce) };
             }
         }
         t
     }
 
-    fn bottom_up(&self, _step: &Step, _r: Range<usize>) -> Tally {
-        unreachable!("the sharded kernel runs a fixed top-down schedule")
+    /// Pull: each range writes only its own vertices' entries, reading the
+    /// frontier bits of their neighbors in any partition. In a distributed
+    /// port that read is the frontier all-gather.
+    fn bottom_up(&self, step: &Step, r: Range<usize>) -> Tally {
+        self.ms.bottom_up(step, r)
     }
 
-    /// The gather publishes the new frontier in place: nothing rotates.
-    fn rotate(&mut self) {}
+    fn rotate(&mut self) {
+        self.ms.rotate();
+    }
 
-    fn clear_next(&self, _r: Range<usize>, _active_only: bool) -> ScanStats {
-        unreachable!("the sharded kernel runs a fixed top-down schedule")
+    fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats {
+        self.ms.clear_next(r, active_only)
     }
 }
 

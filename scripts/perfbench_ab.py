@@ -25,7 +25,8 @@ bound is exceeded or unresolved, or the claim is not met.
 ``--workload all`` runs every workload ``BENCHMARK.json`` declares, one
 after another, on the same two builds. It prints one table per workload
 and fails when any workload fails; a claim is then checked on every
-workload.
+workload, unless ``--claim-workload W`` names the one workload it is
+judged on. Every workload is bound-checked either way.
 
 ``--json-out FILE`` writes every run and every verdict row to FILE:
 ``{"parent": REV, "runs": [...], "verdicts": [...]}``. A run record holds
@@ -40,7 +41,8 @@ reuse its builds across invocations.
 
 Usage:
     perfbench_ab.py --parent REV --workload W|all [--pairs 10] [--seed-base S]
-                    [--claim METRIC] [--workdir DIR] [--json-out FILE]
+                    [--claim METRIC [--claim-workload W]] [--workdir DIR]
+                    [--json-out FILE]
     perfbench_ab.py --self-test
 """
 
@@ -332,7 +334,32 @@ def self_test():
     assert problems and all(p.startswith("b: change seed") for p in problems), problems
     bad = [r for r in report["runs"] if not r["correct"]]
     assert [(r["workload"], r["side"], r["exit"]) for r in bad] == [("b", "change", 1)] * 2, bad
-    print("self-test ok: 12 scenarios passed")
+
+    # --claim-workload: a claim met on one of two workloads passes when it
+    # is judged there only; a regression on the other still fails.
+    def gain_on_a(rss_b):
+        def runner(bench, src, target, workload, seed):
+            cpu = 1.0 + 0.01 * seed
+            if src == "change-src" and workload == "a":
+                cpu *= 0.7
+            rss = rss_b if (workload == "b" and src == "change-src") else 15.9
+            return 0, {"correct": True, "attempted": 100, "failed": 0,
+                       "metrics": {"cpu_ms_per_query": cpu, "peak_rss_mb": rss}}
+        return runner
+    claim = "cpu_ms_per_query"
+    problems, report = measure_all(bench, sides, ["a", "b"], 10, 1, claim, "REV",
+                                   gain_on_a(15.9), claim_workload="a")
+    assert problems == [], problems
+    verdicts = {(v["workload"], v["metric"]): v["verdict"] for v in report["verdicts"]}
+    assert verdicts["a", claim] == "within bound; claim met", verdicts
+    assert verdicts["b", claim] == "within bound", verdicts
+    problems, _ = measure_all(bench, sides, ["a", "b"], 10, 1, claim, "REV",
+                              gain_on_a(15.9))
+    assert problems and all(p.startswith("b: claim on") for p in problems), problems
+    problems, _ = measure_all(bench, sides, ["a", "b"], 10, 1, claim, "REV",
+                              gain_on_a(21.0), claim_workload="a")
+    assert problems and all(p.startswith("b: peak_rss_mb") for p in problems), problems
+    print("self-test ok: 13 scenarios passed")
 
 
 def measure(bench, sides, workload, pairs, seed_base, claim, runner=run):
@@ -360,11 +387,13 @@ def measure(bench, sides, workload, pairs, seed_base, claim, runner=run):
     return got_pairs, problems, runs
 
 
-def measure_all(bench, sides, workloads, pairs, seed_base, claim, parent, runner=run):
+def measure_all(bench, sides, workloads, pairs, seed_base, claim, parent, runner=run,
+                claim_workload=None):
     """Measures and judges every workload in turn, printing one table per
-    workload. Returns every workload's problems, each prefixed with its
-    workload's name, and the ``--json-out`` report of every run and
-    verdict row."""
+    workload. The claim is judged on ``claim_workload`` only, or on every
+    workload when it is None. Returns every workload's problems, each
+    prefixed with its workload's name, and the ``--json-out`` report of
+    every run and verdict row."""
     problems = []
     report = {"parent": parent, "runs": [], "verdicts": []}
     for workload in workloads:
@@ -374,7 +403,8 @@ def measure_all(bench, sides, workloads, pairs, seed_base, claim, parent, runner
         print(f"workload {workload}, {len(got_pairs)} pairs, seeds {seed_base}.."
               f"{seed_base + pairs - 1}, {bench['run_seconds']} s runs, parent {parent}")
         if got_pairs:
-            rows, verdict_problems = compare(bench, got_pairs, claim)
+            judged = claim if claim_workload in (None, workload) else None
+            rows, verdict_problems = compare(bench, got_pairs, judged)
             print(render(rows))
             found += verdict_problems
             report["verdicts"] += [verdict_record(workload, r) for r in rows]
@@ -393,6 +423,8 @@ def main():
     ap.add_argument("--seed-base", type=int, default=1,
                     help="pair i runs both sides with seed SEED_BASE + i (default 1)")
     ap.add_argument("--claim", help="end-to-end metric the change claims to improve")
+    ap.add_argument("--claim-workload", metavar="W",
+                    help="judge the claim on workload W only (with --workload all)")
     ap.add_argument("--workdir", help="keep exports and builds here and reuse them")
     ap.add_argument("--json-out", metavar="FILE",
                     help="write every run and verdict row to FILE as JSON")
@@ -417,6 +449,12 @@ def main():
         ap.error(f"unknown workload {args.workload!r} (BENCHMARK.json has {', '.join(names)})")
     else:
         workloads = [args.workload]
+    if args.claim_workload is not None:
+        if args.claim is None:
+            ap.error("--claim-workload needs --claim")
+        if args.claim_workload not in workloads:
+            ap.error(f"--claim-workload {args.claim_workload!r} is not among the "
+                     f"workloads run ({', '.join(workloads)})")
     manifest = manifest_of(bench)
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="perfbench-ab-")
@@ -432,7 +470,8 @@ def main():
             print(f"building {side} ...", file=sys.stderr)
             build(src, target, manifest)
         problems, report = measure_all(bench, sides, workloads, args.pairs,
-                                       args.seed_base, args.claim, args.parent)
+                                       args.seed_base, args.claim, args.parent,
+                                       claim_workload=args.claim_workload)
     finally:
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)

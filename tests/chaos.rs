@@ -542,7 +542,8 @@ fn narrow_flushes_never_enter_a_spawned_worker() {
 /// traversal driver. Each level-head site is armed alone: only its own
 /// kernel panics there, the other two run through it untouched. The
 /// representation-switch site fires for both adaptive kernels under
-/// forced switching and never for the fixed sharded schedule.
+/// forced switching and never for the sharded kernel, whose scan is
+/// always the summary scan.
 #[test]
 fn every_kernel_reaches_its_own_sites() {
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,11 +1,13 @@
 //! Per-iteration statistics parity across the parallel kernels.
 //!
 //! `MsPbfs`, `SmsPbfs` and `ShardedMsBfs` share one level-synchronous
-//! driver, which produces their `IterationStats`. Under a fixed top-down
-//! schedule every kernel must report the same levels as the sequential
-//! `MsBfs`: the same number of iterations, the same discoveries and
-//! produced frontier per iteration, and the same total. The sharded
-//! kernel must also honour `BfsOptions::instrument` like the others.
+//! driver, which produces their `IterationStats`. Under `AlwaysTopDown`
+//! every kernel must report the same levels as the sequential `MsBfs`:
+//! the same number of iterations, the same discoveries and produced
+//! frontier per iteration, and the same total. Under the default
+//! direction policy the sharded kernel must take the same directions and
+//! levels as `MsPbfs` on summary scans, for every partition count. It
+//! must also honour `BfsOptions::instrument` like the others.
 //!
 //! The engine runs each kernel on a `GraphSnapshot` when its epoch has
 //! deltas and on the plain `CsrGraph`/`PartitionedCsr` otherwise. Both
@@ -286,4 +288,133 @@ fn dirty_snapshot_matches_the_csr_its_compaction_publishes() {
     let part = compacted.part().expect("compaction keeps the mirror");
     let ms1 = assert_arms_agree("dirty", &dirty, compacted.base(), part, &pool);
     assert_eq!(ms1[0].0, Direction::BottomUp, "{ms1:?}");
+}
+
+/// `ShardedMsBfs<W>` over 1, 2 and 3 partitions of `g` against `MsPbfs<W>`
+/// on summary scans, both under the default direction policy: the same
+/// distances and per-iteration directions and levels, with at least one
+/// level bottom-up.
+fn assert_sharded_matches_mspbfs<const W: usize>(
+    what: &str,
+    g: &CsrGraph,
+    pool: &WorkerPool,
+    sources: &[u32],
+) {
+    let n = g.num_vertices();
+    let summary = BfsOptions::default().with_frontier_mode(FrontierMode::Summary);
+    let vis = MsDistanceVisitor::<W>::new(n, sources.len());
+    let stats = MsPbfs::<W>::new(n).run(g, pool, sources, &summary, &vis);
+    let want = (levels(&stats), vis.into_distances());
+    assert!(
+        want.0.iter().any(|l| l.0 == Direction::BottomUp),
+        "{what}: no bottom-up level in {:?}",
+        want.0
+    );
+    for parts in [1usize, 2, 3] {
+        let part = PartitionedCsr::partition(g, parts, WORKERS, 64);
+        let vis = MsDistanceVisitor::<W>::new(n, sources.len());
+        let stats = ShardedMsBfs::<W>::new(n, parts).run(
+            &part,
+            pool,
+            sources,
+            &BfsOptions::default(),
+            &vis,
+        );
+        assert_eq!(
+            (levels(&stats), vis.into_distances()),
+            want,
+            "{what}: ShardedMsBfs<{W}>, {parts} partitions"
+        );
+    }
+}
+
+/// A path `0..len` whose last vertex is a hub with `leaves` leaves. From
+/// vertex 0 the hub's level goes bottom-up only because the path is
+/// already explored: the hub's degree is below a fifteenth of all
+/// directed edges but above a fifteenth of the unexplored ones, which the
+/// policy knows only from the fully-seen degree the kernel reports.
+fn broom(len: u32, leaves: u32) -> CsrGraph {
+    let hub = len - 1;
+    let path = (1..len).map(|v| (v - 1, v));
+    let edges: Vec<(u32, u32)> = path.chain((len..len + leaves).map(|l| (hub, l))).collect();
+    CsrGraph::from_edges((len + leaves) as usize, &edges)
+}
+
+#[test]
+fn sharded_kernel_takes_the_mspbfs_directions() {
+    let pool = WorkerPool::new(WORKERS);
+    let mut cases = graphs();
+    cases.push((
+        "watts_strogatz(2048, 8, 0.1)",
+        gen::watts_strogatz(2048, 8, 0.1, 5),
+    ));
+    let g = broom(1000, 100);
+    assert_sharded_matches_mspbfs::<1>("broom(1000, 100)", &g, &pool, &[0]);
+    for (name, g) in cases {
+        let n = g.num_vertices() as u32;
+        assert_sharded_matches_mspbfs::<1>(name, &g, &pool, &sources(&g));
+        let many: Vec<u32> = (0..300).map(|i| i * 3 % n).collect();
+        assert_sharded_matches_mspbfs::<8>(name, &g, &pool, &many);
+    }
+}
+
+#[test]
+fn instrumented_sharded_bottom_up_reports_per_worker_work() {
+    let g = gen::Kronecker::graph500(9).seed(3).generate();
+    let part = PartitionedCsr::partition(&g, 2, WORKERS, 64);
+    let pool = WorkerPool::new(WORKERS);
+    let sources: Vec<u32> = (0..32).map(|i| i * 13 % 512).collect();
+    let opts = BfsOptions::default().instrumented();
+
+    let mut sharded: ShardedMsBfs<1> = ShardedMsBfs::new(g.num_vertices(), 2);
+    let stats = sharded.run(&part, &pool, &sources, &opts, &NoopMsVisitor);
+    let pulls: Vec<_> = stats
+        .iterations
+        .iter()
+        .filter(|it| it.direction == Direction::BottomUp)
+        .collect();
+    assert!(!pulls.is_empty(), "{:?}", levels(&stats));
+    for it in &stats.iterations {
+        assert_eq!(it.per_worker.len(), WORKERS, "iteration {}", it.iteration);
+        let updated: u64 = it.per_worker.iter().map(|w| w.updated_states).sum();
+        assert_eq!(updated, it.discovered, "iteration {}", it.iteration);
+    }
+    for it in pulls {
+        let visited: u64 = it.per_worker.iter().map(|w| w.visited_neighbors).sum();
+        assert!(visited > 0, "iteration {}", it.iteration);
+        assert_eq!(it.settle_ns, 0, "iteration {}", it.iteration);
+    }
+    let model = MemoryModel::graph500(g.num_vertices());
+    let profile = build_profile("sharded", 64, &stats, &model);
+    assert_eq!(profile.total_ns, stats.total_wall_ns);
+
+    // Scatter and pull scan exactly the adjacency entries MS-PBFS's
+    // top-down phase 1 and bottom-up phase scan on the same levels.
+    let summary = opts.with_frontier_mode(FrontierMode::Summary);
+    let mut flat: MsPbfs<1> = MsPbfs::new(g.num_vertices());
+    let want = flat.run(&g, &pool, &sources, &summary, &NoopMsVisitor);
+    assert_eq!(levels(&stats), levels(&want));
+    let edges = |s: &TraversalStats| -> Vec<u64> {
+        s.iterations.iter().map(|it| it.edges_relaxed()).collect()
+    };
+    assert_eq!(edges(&stats), edges(&want));
+
+    // Uninstrumented: no phase walls, no per-worker rows.
+    let plain = sharded.run(
+        &part,
+        &pool,
+        &sources,
+        &BfsOptions::default(),
+        &NoopMsVisitor,
+    );
+    assert_eq!(levels(&plain), levels(&stats));
+    for it in &plain.iterations {
+        assert_eq!(
+            (it.expand_ns, it.settle_ns),
+            (0, 0),
+            "iteration {}",
+            it.iteration
+        );
+        assert!(it.per_worker.is_empty(), "iteration {}", it.iteration);
+    }
 }
