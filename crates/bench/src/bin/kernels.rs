@@ -1,5 +1,4 @@
-//! `kernels` — Flat vs Summary vs Auto frontier benchmark + atomic
-//! microbench.
+//! `kernels` — Flat vs Summary frontier benchmark + atomic microbench.
 //!
 //! ```text
 //! kernels [OPTIONS]
@@ -7,14 +6,12 @@
 //! OPTIONS:
 //!   --quick        CI sizes (scale 10, 3 trials)
 //!   --check        fail (exit 1) if Summary > 10% slower than Flat on
-//!                  the dense graph, or Auto > 8% slower than the best
-//!                  static mode on any graph
+//!                  the dense graph
 //!   --scale N      dense Kronecker scale        (default 12)
 //!   --workers N    worker pool size             (default 4)
 //!   --seed N       RNG seed                     (default 42)
 //!   --trials N     timed repetitions per config (default 5)
 //!   --out FILE     JSON output path             (default BENCH_4.json)
-//!   --decisions-out FILE  write the adaptive controller's decision log
 //!   --simd LEVEL   pin the bitset-kernel dispatch level
 //!                  (auto|scalar|sse2|avx2|avx512; default auto — the
 //!                  strongest the CPU supports, clamped if unavailable)
@@ -23,14 +20,14 @@
 use std::process::ExitCode;
 
 use pbfs_bench::kernels::{
-    atomics_report, bench4_json, check_auto_regression, check_summary_regression, decisions_json,
-    kernels_report, run_atomics, run_kernels, KernelConfig,
+    atomics_report, bench4_json, check_summary_regression, kernels_report, run_atomics,
+    run_kernels, KernelConfig,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: kernels [--quick] [--check] [--scale N] [--workers N] [--seed N] \
-         [--trials N] [--out FILE] [--decisions-out FILE] [--simd LEVEL]"
+         [--trials N] [--out FILE] [--simd LEVEL]"
     );
     ExitCode::FAILURE
 }
@@ -39,7 +36,6 @@ fn main() -> ExitCode {
     let mut cfg = KernelConfig::default();
     let mut check = false;
     let mut out = String::from("BENCH_4.json");
-    let mut decisions_out: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -71,10 +67,6 @@ fn main() -> ExitCode {
             },
             "--out" => match take("--out") {
                 Some(v) => out = v,
-                None => return usage(),
-            },
-            "--decisions-out" => match take("--decisions-out") {
-                Some(v) => decisions_out = Some(v),
                 None => return usage(),
             },
             "--simd" => match take("--simd") {
@@ -114,8 +106,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let output = run_kernels(&cfg);
-    let kernels = output.rows;
+    let kernels = run_kernels(&cfg);
     let atomics = run_atomics(&cfg);
     print!("{}", kernels_report(&cfg, &kernels).render());
     println!();
@@ -128,27 +119,11 @@ fn main() -> ExitCode {
     }
     println!("\nwrote {out}");
 
-    if let Some(path) = decisions_out {
-        let doc = decisions_json(&cfg, &output.decisions);
-        if let Err(e) = std::fs::write(&path, doc.to_string_pretty()) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path} ({} decisions)", output.decisions.len());
-    }
-
     if check {
-        // The gates judge only the native-level rows; the scalar-forced
+        // The gate judges only the native-level rows; the scalar-forced
         // comparison axis is informational.
         let native = pbfs_bitset::simd::current().name();
         match check_summary_regression(&kernels, native) {
-            Ok(msg) => println!("check ok: {msg}"),
-            Err(msg) => {
-                eprintln!("check FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match check_auto_regression(&kernels, native) {
             Ok(msg) => println!("check ok: {msg}"),
             Err(msg) => {
                 eprintln!("check FAILED: {msg}");

@@ -19,13 +19,10 @@
 //!   baselines.
 //! * [`FrontierSummary`] — a second-level bitmap (one bit per
 //!   [`SUMMARY_CHUNK`] vertices) embedded in the three atomic state types,
-//!   maintained by `fetch_or` on first activation, that lets sparse
-//!   frontier scans skip inactive chunks in O(active / 4096) instead of
-//!   O(V / 64) word loads; see [`summary`].
-//! * [`convert`] — the summary-guided gather of a state array into the
-//!   sparse `(vertex, bits)` queue that MS-PBFS expands when the online
-//!   adaptive frontier controller (`pbfs-core::adapt`) picks the sparse
-//!   strategy.
+//!   maintained by `fetch_or` on first activation, that lets frontier
+//!   scans skip inactive chunks in O(active / 4096) instead of O(V / 64)
+//!   word loads. Every parallel kernel scans through it unless asked for
+//!   the paper's flat scan; see [`summary`].
 //! * [`prefetch`] — a safe software-prefetch shim (no-op off x86-64) used
 //!   by the traversal kernels to hide the CSR offset → adjacency →
 //!   destination-state pointer-chase latency.
@@ -57,7 +54,6 @@ mod aligned;
 pub mod bits;
 pub mod bitvec;
 pub mod bytevec;
-pub mod convert;
 pub mod prefetch;
 pub mod simd;
 pub mod state;

@@ -254,24 +254,16 @@ impl<const W: usize> StateArray<W> {
             .for_each_active_chunk(start, end, |cs, _| self.summary.mark(cs));
     }
 
-    /// Bitmask of non-empty entries in `start..end` (at most 64 entries):
-    /// bit `i` of the result corresponds to entry `start + i`. This is the
-    /// vectorized per-chunk activity scan of the gather kernels.
+    /// Bitmask of non-empty entries in `start..end` (at most 64 entries)
+    /// at dispatch level `level`: bit `i` of the result corresponds to
+    /// entry `start + i`. This is the vectorized per-chunk activity scan of
+    /// the summary-guided kernels.
     ///
     /// # Safety
     /// No other thread may *write* entries `start..end` during the call
     /// (concurrent readers are fine): the scan reads non-atomically. The
     /// kernels call this only on arrays that are read-only within a phase
     /// or ranges they own outright.
-    pub unsafe fn nonempty_mask(&self, start: usize, end: usize) -> u64 {
-        // SAFETY: forwarded from the caller contract.
-        self.nonempty_mask_at(crate::simd::current(), start, end)
-    }
-
-    /// [`Self::nonempty_mask`] at an explicit dispatch level.
-    ///
-    /// # Safety
-    /// Same contract as [`Self::nonempty_mask`].
     pub unsafe fn nonempty_mask_at(
         &self,
         level: crate::simd::SimdLevel,
@@ -460,13 +452,14 @@ mod tests {
         a.set(64, crate::B256::single(200));
         a.set(70, crate::B256::single(0));
         a.set(127, crate::B256::single(63));
+        let lvl = crate::simd::current();
         // SAFETY: exclusively owned by this test.
-        let mask = unsafe { a.nonempty_mask(64, 128) };
+        let mask = unsafe { a.nonempty_mask_at(lvl, 64, 128) };
         assert_eq!(mask, 1 | (1 << 6) | (1 << 63));
         // Partial trailing range.
-        assert_eq!(unsafe { a.nonempty_mask(128, 130) }, 0);
+        assert_eq!(unsafe { a.nonempty_mask_at(lvl, 128, 130) }, 0);
         a.set(129, crate::B256::single(1));
-        assert_eq!(unsafe { a.nonempty_mask(128, 130) }, 1 << 1);
+        assert_eq!(unsafe { a.nonempty_mask_at(lvl, 128, 130) }, 1 << 1);
     }
 
     #[test]

@@ -87,40 +87,37 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "bfs",
         bfs,
-        "source algo workers frontier prefetch-distance adapt-hysteresis \
-         adapt-sample-interval validate text",
+        "source algo workers frontier prefetch-distance validate text",
     ),
     (
         "centrality",
         centrality,
-        "measure top workers frontier prefetch-distance adapt-hysteresis \
-         adapt-sample-interval text",
+        "measure top workers frontier prefetch-distance text",
     ),
     ("relabel", relabel, "scheme workers seed text output"),
     (
         "queries",
         queries,
         "scale queries threads workers shards max-batch max-latency-us rate seed text \
-         max-queue query-timeout drain-timeout frontier prefetch-distance adapt-hysteresis \
-         adapt-sample-interval trace-out mutations",
+         max-queue query-timeout drain-timeout frontier prefetch-distance trace-out mutations",
     ),
     (
         "metrics",
         metrics,
         "scale queries threads workers shards seed max-queue frontier prefetch-distance \
-         adapt-hysteresis adapt-sample-interval json text",
+         json text",
     ),
     (
         "profile",
         profile,
-        "scale seed source algo batch workers frontier prefetch-distance adapt-hysteresis \
-         adapt-sample-interval output folded-out text",
+        "scale seed source algo batch workers frontier prefetch-distance output \
+         folded-out text",
     ),
     (
         "top",
         top,
         "scale queries threads workers seed interval-ms ticks frontier prefetch-distance \
-         adapt-hysteresis adapt-sample-interval text",
+         text",
     ),
     (
         "chaos",
@@ -160,22 +157,16 @@ fn save(args: &Args, g: &CsrGraph) -> Result<(), String> {
 }
 
 /// Builds [`BfsOptions`] from the shared traversal knobs: `--frontier
-/// flat|summary|auto`, `--prefetch-distance N`, and the adaptive
-/// controller's `--adapt-hysteresis` / `--adapt-sample-interval` (only
-/// consulted when the frontier mode is `auto`, the default).
+/// flat|summary` and `--prefetch-distance N`.
 fn bfs_options(args: &Args) -> Result<BfsOptions, String> {
     let mut opts = BfsOptions::default();
     if let Some(s) = args.get("frontier") {
         let mode = FrontierMode::parse(s)
-            .ok_or_else(|| format!("invalid value for --frontier: {s} (flat, summary or auto)"))?;
+            .ok_or_else(|| format!("invalid value for --frontier: {s} (flat or summary)"))?;
         opts = opts.with_frontier_mode(mode);
     }
-    let adapt = opts
-        .adapt
-        .with_hysteresis(args.num("adapt-hysteresis", opts.adapt.hysteresis)?)
-        .with_sample_interval(args.num("adapt-sample-interval", opts.adapt.sample_interval)?);
     let pd: usize = args.num("prefetch-distance", DEFAULT_PREFETCH_DISTANCE)?;
-    Ok(opts.with_adapt(adapt).with_prefetch_distance(pd))
+    Ok(opts.with_prefetch_distance(pd))
 }
 
 fn workers(args: &Args) -> Result<usize, String> {
@@ -1144,6 +1135,37 @@ mod tests {
     }
 
     #[test]
+    fn every_command_flag_is_in_its_usage() {
+        for (command, _, flags) in COMMANDS {
+            let usage = usage_flags(command);
+            for flag in flags.split_whitespace() {
+                let spelled = match flag {
+                    "output" => "-o".to_string(),
+                    _ => format!("--{flag}"),
+                };
+                assert!(
+                    usage.contains(&spelled),
+                    "USAGE of {command} omits {spelled}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bad_frontier_mode_names_the_value_and_the_choices() {
+        let dir = scratch_dir("frontier");
+        let graph = dir.join("g.txt");
+        let graph = graph.display();
+        run(&format!(
+            "generate uniform --vertices 16 --degree 2 --text -o {graph}"
+        ))
+        .unwrap();
+        let err = run(&format!("bfs {graph} --text --source 0 --frontier auto")).unwrap_err();
+        assert_eq!(err, "invalid value for --frontier: auto (flat or summary)");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn bfs_and_queries_run_with_every_usage_flag() {
         let dir = scratch_dir("runs");
         let graph = dir.join("g.txt");
@@ -1158,15 +1180,15 @@ mod tests {
         ))
         .unwrap();
         run(&format!(
-            "bfs {graph} --text --source 0 --algo sms-bit --workers 1 --frontier auto \
-             --prefetch-distance 4 --adapt-hysteresis 2 --adapt-sample-interval 1 --validate"
+            "bfs {graph} --text --source 0 --algo sms-bit --workers 1 --frontier flat \
+             --prefetch-distance 4 --validate"
         ))
         .unwrap();
         run(&format!(
             "queries {graph} --text --scale 6 --queries 16 --threads 1 --shards 1 \
              --max-batch 64 --max-latency-us 500 --rate 0 --seed 3 --max-queue 64 \
-             --query-timeout 0 --drain-timeout 0 --frontier auto --prefetch-distance 4 \
-             --adapt-hysteresis 2 --adapt-sample-interval 1 --trace-out {} --mutations {}",
+             --query-timeout 0 --drain-timeout 0 --frontier summary --prefetch-distance 4 \
+             --trace-out {} --mutations {}",
             trace.display(),
             script.display()
         ))

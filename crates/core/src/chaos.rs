@@ -51,8 +51,6 @@ pub const CHAOS_SITES: &[&str] = &[
     // Reached only by sharded schedules (`ChaosConfig::shards` > 1);
     // arming it in an unsharded schedule is a harmless no-op.
     "core.sharded.phase",
-    "core.adapt.sample",
-    "core.adapt.switch",
     "bitset.summary.mark",
     "bitset.summary.clear",
     // ReturnError here forces the SIMD dispatch to fall back to the scalar

@@ -2,13 +2,14 @@
 //!
 //! MS-PBFS, SMS-PBFS and the sharded scatter/gather MS-BFS run the same
 //! loop (§3 of the paper; Buluç–Madduri's expand/fold loop for the sharded
-//! one): per level, pick a direction and a frontier scan, run two
-//! barrier-separated top-down phases or one bottom-up phase, recycle the
-//! buffers and record the level's statistics. [`run`] owns that loop. A
-//! [`Kernel`] supplies its state init and seeding and the phase bodies,
-//! which keep their hot per-vertex loops, SIMD level and prefetching. The
-//! driver acts once per level and once per task range, never per vertex,
-//! and calls the bodies through generics, so they stay monomorphized.
+//! one): per level, pick a direction, run two barrier-separated top-down
+//! phases or one bottom-up phase with the traversal's frontier scan,
+//! recycle the buffers and record the level's statistics. [`run`] owns
+//! that loop. A [`Kernel`] supplies its state init and seeding and the
+//! phase bodies, which keep their hot per-vertex loops, SIMD level and
+//! prefetching. The driver acts once per level and once per task range,
+//! never per vertex, and calls the bodies through generics, so they stay
+//! monomorphized.
 
 use std::ops::{AddAssign, Range};
 use std::sync::{Mutex, MutexGuard};
@@ -21,7 +22,6 @@ use pbfs_graph::VertexId;
 use pbfs_sched::{RunStats, WorkerPool};
 use pbfs_telemetry::{EventKind, PerWorkerU64};
 
-use crate::adapt::{AdaptController, FrontierSample, ScanStrategy};
 use crate::options::BfsOptions;
 use crate::policy::{Direction, DirectionPolicy, FrontierMode, FrontierState};
 use crate::stats::{IterationStats, TraversalStats, WorkerIterStats};
@@ -58,7 +58,8 @@ impl AddAssign for Tally {
 pub(crate) struct Step {
     /// Depth of the vertices this level discovers.
     pub depth: u32,
-    pub scan: ScanStrategy,
+    /// How the phase bodies walk the frontier, fixed per traversal.
+    pub scan: FrontierMode,
     /// SIMD dispatch level, resolved once per level: `#[target_feature]`
     /// kernels cannot inline through the per-call dispatch, so the lookup
     /// (and the chaos failpoint inside it) stays out of the hot loops.
@@ -66,25 +67,19 @@ pub(crate) struct Step {
 }
 
 /// One traversal's state and phase bodies. Task ranges cover the vertex
-/// range, except in a sparse phase 1, where they index the gathered queue.
+/// range.
 pub(crate) trait Kernel: Sync {
     /// The failpoint at the head of every level.
     #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
     const PHASE_SITE: &'static str;
     type Graph: Adjacency + ?Sized;
-    /// One gathered entry of the sparse frontier queue.
-    type Entry: Sync;
 
     fn graph(&self) -> &Self::Graph;
     /// Clears the state on `pool` in ranges of `split` and seeds the
     /// sources, tallied as level 0.
     fn init(&self, pool: &WorkerPool, split: usize) -> Tally;
-    /// The frontier as a queue of at most `cap` entries, or `None`.
-    fn gather(&self, cap: usize) -> Option<Vec<Self::Entry>>;
-    /// Clears the entries a sparse phase 1 expanded, between the phases.
-    fn clear_gathered(&self, queue: &[Self::Entry]);
     /// Top-down phase 1: expands the frontier into `next`.
-    fn expand(&self, step: &Step, queue: Option<&[Self::Entry]>, r: Range<usize>) -> Tally;
+    fn expand(&self, step: &Step, r: Range<usize>) -> Tally;
     /// Top-down phase 2: settles `next` against `seen` and clears the
     /// frontier for reuse as `next`.
     fn settle(&self, step: &Step, r: Range<usize>) -> Tally;
@@ -96,28 +91,28 @@ pub(crate) trait Kernel: Sync {
     fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats;
 }
 
-/// How each level's direction and scan are chosen, and the task range
-/// size of every phase.
+/// How each level's direction is chosen, how the phases scan the
+/// frontier, and the task range size of every phase.
 pub(crate) struct Schedule {
     split: usize,
-    mode: FrontierMode,
+    scan: FrontierMode,
     policy: DirectionPolicy,
 }
 
 impl Schedule {
     /// Direction from `opts.policy`, scan from `opts.frontier_mode`. Task
     /// ranges align to `ownership_align`, so `*_owned` state accesses never
-    /// share a storage unit, and to summary chunks whenever summary scans
-    /// may run, so range clears clear summary bits exactly.
-    pub fn adaptive(opts: &BfsOptions, ownership_align: usize) -> Self {
+    /// share a storage unit, and to summary chunks under summary scans, so
+    /// range clears clear summary bits exactly.
+    pub fn new(opts: &BfsOptions, ownership_align: usize) -> Self {
         let align = match opts.frontier_mode {
-            FrontierMode::Summary | FrontierMode::Auto => ownership_align.max(SUMMARY_CHUNK),
+            FrontierMode::Summary => ownership_align.max(SUMMARY_CHUNK),
             FrontierMode::Flat => ownership_align,
         };
         let split = pbfs_sched::aligned_split(opts.split_size.max(1), align);
         Self {
             split,
-            mode: opts.frontier_mode,
+            scan: opts.frontier_mode,
             policy: opts.policy,
         }
     }
@@ -128,7 +123,7 @@ impl Schedule {
     pub fn partitioned(opts: &BfsOptions, split: usize) -> Self {
         Self {
             split,
-            mode: FrontierMode::Summary,
+            scan: FrontierMode::Summary,
             policy: opts.policy,
         }
     }
@@ -219,16 +214,12 @@ pub(crate) fn run<K: Kernel>(
     let start = Instant::now();
     let Schedule {
         split,
-        mode,
+        scan,
         policy,
     } = schedule;
     let g = k.graph();
     let (n, m) = (g.num_vertices(), g.num_directed_edges() as u64);
     let seed = k.init(pool, split);
-    // Under `Auto` the controller samples the frontier each level and
-    // picks the scan; the static modes fix it. A scan only changes *how*
-    // the frontier is walked, never what it holds, so any choice is correct.
-    let mut ctl = (mode == FrontierMode::Auto).then(|| AdaptController::new(opts.adapt));
     let mut stats = TraversalStats {
         total_discovered: seed.discovered,
         ..Default::default()
@@ -248,72 +239,31 @@ pub(crate) fn run<K: Kernel>(
         }
         depth += 1;
         let prev_direction = direction;
-        let wanted = policy.decide(&FrontierState {
+        direction = policy.decide(&FrontierState {
             frontier_vertices,
             frontier_degree,
             unexplored_degree,
             total_vertices: n as u64,
             current: direction,
         });
-        direction = match ctl.as_mut() {
-            Some(c) => c.decide_direction(depth, direction, wanted),
-            None => wanted,
-        };
         crate::obs::note_iteration(depth, direction, depth > 1 && direction != prev_direction);
-        let mut scan = match (ctl.as_mut(), mode) {
-            (Some(c), _) => {
-                let before = c.current();
-                let scan = c.decide_scan(&FrontierSample {
-                    iteration: depth,
-                    frontier_vertices,
-                    frontier_degree,
-                    total_vertices: n as u64,
-                });
-                if scan != before {
-                    // Representation-switch boundary — a chaos site: a
-                    // panic injected here must fail only this batch.
-                    crate::fail_point!("core.adapt.switch");
-                }
-                scan
-            }
-            (None, FrontierMode::Flat) => ScanStrategy::Flat,
-            (None, _) => ScanStrategy::Summary,
-        };
         let iter_start = Instant::now();
         let level = Level::new(pool, opts, split, frontier_vertices);
-        let lvl = pbfs_bitset::simd::current();
+        let step = Step {
+            depth,
+            scan,
+            lvl: pbfs_bitset::simd::current(),
+        };
         let kr = &*k;
         let (expand_ns, settle_ns) = match direction {
-            Direction::TopDown => {
-                // Sparse scan: gather the frontier into a queue once, so
-                // phase 1 is O(frontier) instead of a vertex-range scan.
-                // The cap is the tracked frontier size, so overflow cannot
-                // happen; fall back to the summary scan if it does.
-                let queue = match scan {
-                    ScanStrategy::Sparse => kr.gather(frontier_vertices as usize),
-                    ScanStrategy::Flat | ScanStrategy::Summary => None,
-                };
-                if scan == ScanStrategy::Sparse && queue.is_none() {
-                    scan = ScanStrategy::Summary;
-                }
-                let step = Step { depth, scan, lvl };
-                let len = queue.as_ref().map_or(n, Vec::len);
-                let expand = level.phase(EventKind::TopDownPhase1, len, |r| {
-                    kr.expand(&step, queue.as_deref(), r)
-                });
-                if let Some(q) = &queue {
-                    kr.clear_gathered(q);
-                }
-                let settle = level.phase(EventKind::TopDownPhase2, n, |r| kr.settle(&step, r));
-                (expand, settle)
-            }
-            Direction::BottomUp => {
-                let step = Step { depth, scan, lvl };
-                (
-                    level.phase(EventKind::BottomUp, n, |r| kr.bottom_up(&step, r)),
-                    0,
-                )
-            }
+            Direction::TopDown => (
+                level.phase(EventKind::TopDownPhase1, n, |r| kr.expand(&step, r)),
+                level.phase(EventKind::TopDownPhase2, n, |r| kr.settle(&step, r)),
+            ),
+            Direction::BottomUp => (
+                level.phase(EventKind::BottomUp, n, |r| kr.bottom_up(&step, r)),
+                0,
+            ),
         };
 
         // Phase 2 cleared the old frontier after top-down; after bottom-up
@@ -322,7 +272,7 @@ pub(crate) fn run<K: Kernel>(
         // summary-active chunks.
         k.rotate();
         if direction == Direction::BottomUp {
-            let (kr, active_only) = (&*k, scan != ScanStrategy::Flat);
+            let (kr, active_only) = (&*k, scan == FrontierMode::Summary);
             pool.parallel_for(n, split, |w, r| {
                 let s = kr.clear_next(r, active_only);
                 level.tally(w).scan.merge(s);
@@ -377,9 +327,6 @@ pub(crate) fn run<K: Kernel>(
         });
     }
 
-    if let Some(c) = ctl {
-        stats.adapt_decisions = c.into_log();
-    }
     crate::obs::note_summary_scan(stats.summary_chunks_skipped, stats.summary_chunks_scanned);
     crate::obs::note_traversal(stats.total_discovered);
     stats.total_wall_ns = start.elapsed().as_nanos() as u64;
@@ -388,19 +335,18 @@ pub(crate) fn run<K: Kernel>(
 
 /// Calls `f(i)` for `i in 0..len` with the adjacency of vertex `i + pd`
 /// prefetched, so the pointer chase over a batch of frontier vertices
-/// pipelines `pd` deep. The CSR offsets of the first `warm` vertices are
+/// pipelines `pd` deep. The CSR offsets of all `len` vertices are
 /// prefetched up front.
 #[inline]
 pub(crate) fn pipelined<G: Adjacency + ?Sized>(
     g: &G,
     pd: usize,
-    warm: usize,
     len: usize,
     vertex: impl Fn(usize) -> VertexId,
     mut f: impl FnMut(usize),
 ) {
     if pd > 0 {
-        for i in 0..warm.min(len) {
+        for i in 0..len {
             g.prefetch_offsets(vertex(i));
         }
     }

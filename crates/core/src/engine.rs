@@ -681,9 +681,6 @@ impl QueryEngine {
     /// applied to `store` while the engine runs become visible to later
     /// query batches, each of which pins exactly one published epoch.
     pub fn with_store(store: Arc<GraphStore>, config: EngineConfig) -> Self {
-        // Adapt counter families exist (at 0) from engine construction, so
-        // a metrics scrape never races their first increment.
-        let _ = crate::adapt::metrics();
         let base = Arc::clone(store.snapshot().base());
         // Scrapes of this process are attributable to the dataset served.
         pbfs_telemetry::set_graph_info(base.num_vertices() as u64, base.num_edges() as u64);

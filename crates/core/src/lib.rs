@@ -56,7 +56,6 @@ macro_rules! fail_point {
 #[cfg(not(feature = "failpoints"))]
 pub(crate) use fail_point;
 
-pub mod adapt;
 pub mod analytics;
 pub mod batch;
 pub mod beamer;
@@ -85,7 +84,6 @@ pub const UNREACHED: u32 = u32::MAX;
 
 /// One-stop imports for typical users.
 pub mod prelude {
-    pub use crate::adapt::{AdaptConfig, AdaptDecision, ScanStrategy};
     pub use crate::beamer::{DirectionOptBfs, QueueKind};
     pub use crate::engine::{EngineConfig, EngineError, EngineStats, QueryEngine, QueryHandle};
     pub use crate::msbfs::MsBfs;

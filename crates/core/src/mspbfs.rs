@@ -23,9 +23,9 @@ use pbfs_bitset::{Bits, ScanStats, StateArray, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 
-use crate::adapt::ScanStrategy;
 use crate::driver::{self, Kernel, Schedule, Step, Tally};
 use crate::options::{AtomicKind, BfsOptions};
+use crate::policy::FrontierMode;
 use crate::stats::TraversalStats;
 use crate::visitor::MsVisitor;
 
@@ -95,7 +95,7 @@ impl<const W: usize> MsPbfs<W> {
             visitor,
             [&self.seen, &self.frontier, &self.next],
         );
-        driver::run(&mut batch, pool, opts, Schedule::adaptive(opts, 1))
+        driver::run(&mut batch, pool, opts, Schedule::new(opts, 1))
     }
 }
 
@@ -229,7 +229,6 @@ impl<'a, G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Batch<'a, G, V,
 impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_, G, V, W> {
     const PHASE_SITE: &'static str = "core.mspbfs.phase";
     type Graph = G;
-    type Entry = (VertexId, Bits<W>);
 
     fn graph(&self) -> &G {
         self.g
@@ -251,32 +250,12 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
         seed_sources(self.g, self.sources, seen, frontier, self.visitor)
     }
 
-    fn gather(&self, cap: usize) -> Option<Vec<Self::Entry>> {
-        pbfs_bitset::convert::gather_state(self.frontier, cap)
-    }
-
-    fn clear_gathered(&self, queue: &[Self::Entry]) {
-        // Entry clears leave summary marks set, which is the conservative
-        // direction for any later summary-guided scan.
-        for &(v, _) in queue {
-            self.frontier.clear_entry(v as usize);
-        }
-    }
-
     /// Phase 1: frontier → next, synchronized by atomic OR.
-    fn expand(&self, step: &Step, queue: Option<&[Self::Entry]>, r: Range<usize>) -> Tally {
+    fn expand(&self, step: &Step, r: Range<usize>) -> Tally {
         let (g, frontier, pd) = (self.g, self.frontier, self.opts.prefetch_distance);
         let mut t = Tally::default();
         match step.scan {
-            ScanStrategy::Sparse => {
-                // `r` indexes the gathered queue here, not the vertex range.
-                let q = &queue.expect("sparse scan without a queue")[r];
-                let vertex = |i: usize| q[i].0;
-                driver::pipelined(g, pd, pd, q.len(), vertex, |i| {
-                    t.visited += self.expand_vertex(q[i].0 as usize, q[i].1)
-                });
-            }
-            ScanStrategy::Flat => {
+            FrontierMode::Flat => {
                 for v in r {
                     let f = frontier.get(v);
                     if !f.is_empty() {
@@ -284,7 +263,7 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
                     }
                 }
             }
-            ScanStrategy::Summary => {
+            FrontierMode::Summary => {
                 t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
                     // Gather the chunk's active vertices so the CSR pointer
                     // chase can be pipelined. One vectorized mask pass
@@ -303,7 +282,7 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
                         cnt += 1;
                     }
                     let vertex = |i: usize| vbuf[i];
-                    driver::pipelined(g, pd, cnt, cnt, vertex, |i| {
+                    driver::pipelined(g, pd, cnt, vertex, |i| {
                         t.visited += self.expand_vertex(vbuf[i] as usize, fbuf[i])
                     });
                 });
@@ -316,40 +295,32 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
     fn settle(&self, step: &Step, r: Range<usize>) -> Tally {
         let (frontier, next, lvl) = (self.frontier, self.next, step.lvl);
         let mut t = Tally::default();
-        // One mask pass per active chunk of `next` finds the non-empty
-        // entries.
-        // SAFETY: phase-2 ranges are bijectively owned — no other thread
-        // touches this chunk of `next` until the barrier.
-        let settle_active = |t: &mut Tally| {
-            next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
-                while mask != 0 {
-                    let v = cs + mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    self.settle_vertex(t, step, v);
-                }
-            })
-        };
         match step.scan {
-            // The gathered frontier entries were already cleared after
-            // phase 1; only `next` needs settling.
-            ScanStrategy::Sparse => t.scan = settle_active(&mut t),
-            ScanStrategy::Flat => {
-                for v in r.clone() {
+            FrontierMode::Flat => {
+                for v in r {
                     frontier.clear_entry(v);
                     self.settle_vertex(&mut t, step, v);
                 }
             }
-            ScanStrategy::Summary => {
+            FrontierMode::Summary => {
                 // Nothing reads `frontier` this phase: clear only its
                 // active chunks (ranges are chunk-aligned, so summary bits
-                // clear exactly).
+                // clear exactly). One mask pass per active chunk of `next`
+                // then finds the non-empty entries.
                 // SAFETY: phase-2 ranges are bijectively owned, so this
-                // worker has the chunk to itself until the barrier.
+                // worker has these chunks of `frontier` and `next` to
+                // itself until the barrier.
                 t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
                     frontier.clear_range_owned(cs, ce)
                 });
-                let s = settle_active(&mut t);
+                let s = next.for_each_active_chunk(r.start, r.end, |cs, ce| {
+                    let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
+                    while mask != 0 {
+                        let v = cs + mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        self.settle_vertex(&mut t, step, v);
+                    }
+                });
                 t.scan.merge(s);
             }
         }
@@ -480,11 +451,7 @@ mod tests {
     fn frontier_modes_and_prefetch_distances_match() {
         let g = gen::Kronecker::graph500(10).seed(21).generate();
         let sources: Vec<u32> = (0..48).map(|i| i * 11 % 1024).collect();
-        for mode in [
-            crate::policy::FrontierMode::Flat,
-            crate::policy::FrontierMode::Summary,
-            crate::policy::FrontierMode::Auto,
-        ] {
+        for mode in [FrontierMode::Flat, FrontierMode::Summary] {
             for pd in [0usize, 4, 16] {
                 let opts = BfsOptions::default()
                     .with_frontier_mode(mode)
@@ -492,56 +459,6 @@ mod tests {
                 check_batch::<1>(&g, &sources, 4, &opts);
             }
         }
-    }
-
-    #[test]
-    fn forced_representation_switching_matches_oracle() {
-        // The adversarial controller config: switch representation every
-        // single iteration, cycling sparse → flat → summary. Results must
-        // stay bit-identical to the static modes.
-        let g = gen::Kronecker::graph500(9).seed(33).generate();
-        let sources: Vec<u32> = (0..32).map(|i| i * 13 % 512).collect();
-        let opts = BfsOptions::default()
-            .with_frontier_mode(crate::policy::FrontierMode::Auto)
-            .with_adapt(crate::adapt::AdaptConfig::default().forced());
-        check_batch::<1>(&g, &sources, 4, &opts);
-        check_batch::<2>(&g, &sources, 2, &opts);
-    }
-
-    #[test]
-    fn auto_mode_records_decisions() {
-        // A path graph pins the frontier at one vertex: the controller must
-        // leave its starting summary strategy for the sparse queue, and the
-        // decision must land in the stats log.
-        let g = gen::path(8_000);
-        let pool = WorkerPool::new(2);
-        let mut bfs: MsPbfs<1> = MsPbfs::new(g.num_vertices());
-        let stats = bfs.run(
-            &g,
-            &pool,
-            &[0],
-            &BfsOptions::default().with_policy(DirectionPolicy::AlwaysTopDown),
-            &crate::visitor::NoopMsVisitor,
-        );
-        assert!(
-            stats
-                .adapt_decisions
-                .iter()
-                .any(|d| d.to == "sparse" && d.reason == "sparse_frontier"),
-            "decisions: {:?}",
-            stats.adapt_decisions
-        );
-
-        let static_run = bfs.run(
-            &g,
-            &pool,
-            &[0],
-            &BfsOptions::default()
-                .with_policy(DirectionPolicy::AlwaysTopDown)
-                .with_frontier_mode(crate::policy::FrontierMode::Summary),
-            &crate::visitor::NoopMsVisitor,
-        );
-        assert!(static_run.adapt_decisions.is_empty());
     }
 
     #[test]
@@ -557,7 +474,7 @@ mod tests {
             &[0],
             &BfsOptions::default()
                 .with_policy(DirectionPolicy::AlwaysTopDown)
-                .with_frontier_mode(crate::policy::FrontierMode::Summary),
+                .with_frontier_mode(FrontierMode::Summary),
             &crate::visitor::NoopMsVisitor,
         );
         assert!(stats.summary_chunks_skipped > 0, "no skips recorded");
@@ -573,7 +490,7 @@ mod tests {
             &[0],
             &BfsOptions::default()
                 .with_policy(DirectionPolicy::AlwaysTopDown)
-                .with_frontier_mode(crate::policy::FrontierMode::Flat),
+                .with_frontier_mode(FrontierMode::Flat),
             &crate::visitor::NoopMsVisitor,
         );
         assert_eq!(flat.summary_chunks_skipped + flat.summary_chunks_scanned, 0);

@@ -1,6 +1,5 @@
 //! Tuning knobs shared by all BFS implementations.
 
-use crate::adapt::AdaptConfig;
 use crate::policy::{DirectionPolicy, FrontierMode};
 
 /// How the first top-down phase merges frontiers into `next`.
@@ -38,12 +37,9 @@ pub struct BfsOptions {
     /// Bottom-up early exit once no further bits can be gained
     /// (Section 3.1.2). Disable only for the ablation bench.
     pub early_exit: bool,
-    /// How the kernels iterate the frontier arrays: linear scan,
-    /// summary-guided chunk skipping, or per-iteration online selection.
+    /// How the kernels iterate the frontier arrays: summary-guided chunk
+    /// skipping, or the paper's linear scan.
     pub frontier_mode: FrontierMode,
-    /// Thresholds and damping for the online controller; consulted only
-    /// when `frontier_mode` is [`FrontierMode::Auto`].
-    pub adapt: AdaptConfig,
     /// Software-prefetch lookahead in the traversal hot loops: while
     /// processing frontier vertex (or neighbor) `i`, prefetch the CSR /
     /// state data of `i + prefetch_distance`. `0` disables prefetching;
@@ -71,7 +67,6 @@ impl Default for BfsOptions {
             chunk_skip: true,
             early_exit: true,
             frontier_mode: FrontierMode::default(),
-            adapt: AdaptConfig::default(),
             prefetch_distance: DEFAULT_PREFETCH_DISTANCE,
             instrument: false,
             query_set: 0,
@@ -111,12 +106,6 @@ impl BfsOptions {
         self
     }
 
-    /// Returns a copy with the given adaptive-controller configuration.
-    pub fn with_adapt(mut self, adapt: AdaptConfig) -> Self {
-        self.adapt = adapt;
-        self
-    }
-
     /// Returns a copy attributed to the given query-set id (0 clears).
     pub fn with_query_set(mut self, query_set: u64) -> Self {
         self.query_set = query_set;
@@ -135,10 +124,7 @@ mod tests {
         assert_eq!(o.atomic, AtomicKind::FetchOr);
         assert!(o.chunk_skip);
         assert!(o.early_exit);
-        assert_eq!(o.frontier_mode, FrontierMode::Auto);
-        assert_eq!(o.adapt, AdaptConfig::default());
-        assert_eq!(o.adapt.hysteresis, 2);
-        assert!(!o.adapt.force_switch);
+        assert_eq!(o.frontier_mode, FrontierMode::Summary);
         assert_eq!(o.prefetch_distance, 4);
         assert!(!o.instrument);
         assert_eq!(o.query_set, 0);

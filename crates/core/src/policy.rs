@@ -30,29 +30,23 @@ impl pbfs_json::ToJson for Direction {
 /// How the traversal kernels walk the frontier arrays.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FrontierMode {
-    /// Linear scan over the full vertex range (the pre-summary behavior;
-    /// kept for ablation).
+    /// Linear scan over the full vertex range: the paper's kernels, kept
+    /// as the reference the summary scan is checked and benchmarked
+    /// against.
     Flat,
     /// Skip inactive [`pbfs_bitset::SUMMARY_CHUNK`]-vertex chunks via the
     /// second-level frontier summary — O(active/4096) word loads instead
-    /// of O(V/64) on sparse frontiers.
-    Summary,
-    /// Pick the scan strategy (sparse queue / flat scan / summary scan)
-    /// per iteration at runtime via the [`crate::adapt`] controller, which
-    /// samples the frontier each iteration and switches representation
-    /// with hysteresis (default).
+    /// of O(V/64) on sparse frontiers (default).
     #[default]
-    Auto,
+    Summary,
 }
 
 impl FrontierMode {
-    /// Parses the CLI spelling (`flat` / `summary` / `auto`,
-    /// case-insensitive).
+    /// Parses the CLI spelling (`flat` / `summary`, case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "flat" => Some(FrontierMode::Flat),
             "summary" => Some(FrontierMode::Summary),
-            "auto" => Some(FrontierMode::Auto),
             _ => None,
         }
     }
@@ -64,7 +58,6 @@ impl pbfs_json::ToJson for FrontierMode {
             match self {
                 FrontierMode::Flat => "Flat",
                 FrontierMode::Summary => "Summary",
-                FrontierMode::Auto => "Auto",
             }
             .to_string(),
         )
@@ -157,9 +150,9 @@ mod tests {
     fn frontier_mode_parse() {
         assert_eq!(FrontierMode::parse("flat"), Some(FrontierMode::Flat));
         assert_eq!(FrontierMode::parse("Summary"), Some(FrontierMode::Summary));
-        assert_eq!(FrontierMode::parse("AUTO"), Some(FrontierMode::Auto));
+        assert_eq!(FrontierMode::parse("auto"), None);
         assert_eq!(FrontierMode::parse("bogus"), None);
-        assert_eq!(FrontierMode::default(), FrontierMode::Auto);
+        assert_eq!(FrontierMode::default(), FrontierMode::Summary);
     }
 
     #[test]

@@ -49,9 +49,6 @@
 //! so every partition count takes the same direction on every level.
 //! The oracle-differential suite in `tests/sharded_oracle.rs` checks this
 //! against the single-shard engine.
-//!
-//! Sparse-queue scans are absent: a gathered queue would mix partitions
-//! within one task range, which the scatter exists to avoid.
 
 use std::ops::Range;
 
@@ -188,7 +185,6 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
 {
     const PHASE_SITE: &'static str = "core.sharded.phase";
     type Graph = P;
-    type Entry = VertexId;
 
     fn graph(&self) -> &P {
         self.ms.g
@@ -209,17 +205,9 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
         crate::mspbfs::seed_sources(ms.g, ms.sources, seen, frontier, ms.visitor)
     }
 
-    /// The schedule never picks the sparse scan; `None` would fall back to
-    /// the summary scan.
-    fn gather(&self, _cap: usize) -> Option<Vec<VertexId>> {
-        None
-    }
-
-    fn clear_gathered(&self, _queue: &[VertexId]) {}
-
     /// Scatter: expands each range's frontier through its owning
     /// partition's segment into that partition's contribution array.
-    fn expand(&self, step: &Step, _queue: Option<&[VertexId]>, r: Range<usize>) -> Tally {
+    fn expand(&self, step: &Step, r: Range<usize>) -> Tally {
         let (part, frontier) = (self.ms.g, self.ms.frontier);
         let dst = match part.node_of(r.start as VertexId) {
             0 => self.ms.next,

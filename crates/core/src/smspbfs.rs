@@ -25,9 +25,9 @@ use pbfs_bitset::{AtomicBitVec, AtomicByteVec, ScanStats, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 
-use crate::adapt::ScanStrategy;
 use crate::driver::{self, Kernel, Schedule, Step, Tally};
 use crate::options::BfsOptions;
+use crate::policy::FrontierMode;
 use crate::stats::TraversalStats;
 use crate::visitor::SsVisitor;
 
@@ -297,7 +297,7 @@ impl<S: SsState> SmsPbfs<S> {
         let n = g.num_vertices();
         assert_eq!(self.seen.len(), n, "state sized for a different graph");
         assert!((source as usize) < n, "source out of range");
-        let schedule = Schedule::adaptive(opts, S::OWNERSHIP_ALIGN);
+        let schedule = Schedule::new(opts, S::OWNERSHIP_ALIGN);
         let mut single = Single {
             g,
             source,
@@ -326,7 +326,6 @@ struct Single<'a, G: ?Sized, V, S> {
 impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V, S> {
     const PHASE_SITE: &'static str = "core.smspbfs.phase";
     type Graph = G;
-    type Entry = VertexId;
 
     fn graph(&self) -> &G {
         self.g
@@ -349,27 +348,9 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
         })
     }
 
-    /// Walks only summary-active chunks; the queue comes out sorted.
-    fn gather(&self, cap: usize) -> Option<Vec<VertexId>> {
-        let (s, mut out) = (self.frontier, Vec::with_capacity(cap));
-        s.for_each_active_chunk(0, s.len(), |cs, ce| {
-            s.for_each_set(cs, ce, true, |v| out.push(v as VertexId));
-        });
-        (out.len() <= cap).then_some(out)
-    }
-
-    fn clear_gathered(&self, queue: &[VertexId]) {
-        // No worker owns the entries between the phases, so the
-        // unsynchronized clears cannot share a word with a concurrent
-        // writer.
-        for &v in queue {
-            self.frontier.clear_owned(v as usize);
-        }
-    }
-
     /// Listing 3 lines 1–5: push to next, then clear the owned frontier
     /// range for buffer reuse.
-    fn expand(&self, step: &Step, queue: Option<&[VertexId]>, r: Range<usize>) -> Tally {
+    fn expand(&self, step: &Step, r: Range<usize>) -> Tally {
         let (g, frontier, next) = (self.g, self.frontier, self.next);
         let (pd, chunk) = (self.opts.prefetch_distance, self.opts.chunk_skip);
         let mut t = Tally::default();
@@ -386,18 +367,11 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
             });
         };
         match step.scan {
-            ScanStrategy::Sparse => {
-                // `r` indexes the gathered queue here, not the vertex
-                // range; the gathered entries are cleared after the phase
-                // barrier.
-                let q = &queue.expect("sparse scan without a queue")[r];
-                driver::pipelined(g, pd, pd, q.len(), |i| q[i], |i| expand(q[i] as usize));
-            }
-            ScanStrategy::Flat => {
+            FrontierMode::Flat => {
                 frontier.for_each_set(r.start, r.end, chunk, &mut expand);
                 frontier.clear_range(r.start, r.end);
             }
-            ScanStrategy::Summary => {
+            FrontierMode::Summary => {
                 t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
                     // Gather the chunk's active vertices so the CSR pointer
                     // chase can be pipelined.
@@ -407,7 +381,7 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
                         vbuf[cnt] = v as u32;
                         cnt += 1;
                     });
-                    driver::pipelined(g, pd, cnt, cnt, |i| vbuf[i], |i| expand(vbuf[i] as usize));
+                    driver::pipelined(g, pd, cnt, |i| vbuf[i], |i| expand(vbuf[i] as usize));
                     // Nothing reads this chunk again: clear it (and its
                     // summary bit — chunks are clear-exact here).
                     frontier.clear_range(cs, ce);
@@ -428,8 +402,8 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
             t.frontier_degree += g.degree(v as VertexId) as u64;
         };
         match step.scan {
-            ScanStrategy::Flat => next.settle_into(seen, r.start, r.end, chunk, &mut found),
-            ScanStrategy::Summary | ScanStrategy::Sparse => {
+            FrontierMode::Flat => next.settle_into(seen, r.start, r.end, chunk, &mut found),
+            FrontierMode::Summary => {
                 t.scan = next.for_each_active_chunk(r.start, r.end, |cs, ce| {
                     next.settle_into(seen, cs, ce, chunk, &mut found);
                 });
@@ -487,7 +461,7 @@ fn one_source(mut t: Tally) -> Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{DirectionPolicy, FrontierMode};
+    use crate::policy::DirectionPolicy;
     use crate::textbook;
     use crate::visitor::{DistanceVisitor, NoopVisitor, PairVisitor, ParentVisitor};
     use pbfs_graph::gen;
@@ -556,11 +530,7 @@ mod tests {
     #[test]
     fn frontier_modes_and_prefetch_distances_match() {
         let g = gen::Kronecker::graph500(10).seed(22).generate();
-        for mode in [
-            FrontierMode::Flat,
-            FrontierMode::Summary,
-            FrontierMode::Auto,
-        ] {
+        for mode in [FrontierMode::Flat, FrontierMode::Summary] {
             for pd in [0usize, 4, 16] {
                 let opts = BfsOptions::default()
                     .with_frontier_mode(mode)
@@ -568,21 +538,6 @@ mod tests {
                 check_bit(&g, 5, 4, &opts);
                 check_byte(&g, 5, 4, &opts);
             }
-        }
-    }
-
-    #[test]
-    fn forced_representation_switching_matches_oracle() {
-        // Adversarial controller config: switch representation every single
-        // iteration (sparse → flat → summary cycle). Distances must stay
-        // identical to the oracle for both state representations.
-        let g = gen::Kronecker::graph500(9).seed(44).generate();
-        let opts = BfsOptions::default()
-            .with_frontier_mode(FrontierMode::Auto)
-            .with_adapt(crate::adapt::AdaptConfig::default().forced());
-        for workers in [1usize, 4] {
-            check_bit(&g, 3, workers, &opts);
-            check_byte(&g, 3, workers, &opts);
         }
     }
 

@@ -1,6 +1,5 @@
 //! Per-traversal statistics: the measurement substrate for Figures 6–9.
 
-use crate::adapt::AdaptDecision;
 use crate::policy::Direction;
 
 /// What one worker did during one BFS iteration.
@@ -41,9 +40,10 @@ pub struct IterationStats {
     pub frontier_vertices: u64,
     /// States newly discovered in this iteration (bits for multi-source).
     pub discovered: u64,
-    /// Summary chunks scanned by this iteration's frontier scans.
+    /// Summary chunks scanned by this iteration's frontier scans and
+    /// bottom-up clears (0 under the flat scan).
     pub chunks_scanned: u64,
-    /// Summary chunks skipped by this iteration's frontier scans.
+    /// Summary chunks skipped by the same scans (0 under the flat scan).
     pub chunks_skipped: u64,
     /// Per-worker breakdown (empty when instrumentation is off).
     pub per_worker: Vec<WorkerIterStats>,
@@ -99,14 +99,11 @@ pub struct TraversalStats {
     /// Total states discovered (= reached vertices; for multi-source the
     /// sum over all concurrent BFSs, sources included).
     pub total_discovered: u64,
-    /// Summary chunks skipped without loading their state words
-    /// (0 in `FrontierMode::Flat`).
+    /// Summary chunks skipped without loading their state words (0 under
+    /// the flat scan, the one frontier mode that reads no summary).
     pub summary_chunks_skipped: u64,
     /// Summary chunks scanned because their summary bit was set.
     pub summary_chunks_scanned: u64,
-    /// Decisions taken by the adaptive controller, in order (empty for the
-    /// static frontier modes).
-    pub adapt_decisions: Vec<AdaptDecision>,
 }
 
 impl TraversalStats {

@@ -96,9 +96,6 @@ pub enum EventKind {
     /// A pool worker panicked inside a parallel loop body (`a` = worker,
     /// `b` = dispatch epoch). Mark.
     WorkerPanic,
-    /// The adaptive frontier controller switched scan strategy or
-    /// direction (`a` = depth, `b` = encoded from/to strategy pair). Mark.
-    AdaptSwitch,
     /// The graph store published a new epoch (`a` = epoch, `b` = cause:
     /// 0 = mutation batch, 1 = compaction, 2 = partition attach). Mark.
     EpochPublish,
@@ -124,7 +121,6 @@ impl EventKind {
             EventKind::BatchComplete => "batch_complete",
             EventKind::BatchFailed => "batch_failed",
             EventKind::WorkerPanic => "worker_panic",
-            EventKind::AdaptSwitch => "adapt_switch",
             EventKind::EpochPublish => "epoch_publish",
             EventKind::EpochPin => "epoch_pin",
         }
@@ -138,8 +134,7 @@ impl EventKind {
             | EventKind::TopDownPhase1
             | EventKind::TopDownPhase2
             | EventKind::BottomUp
-            | EventKind::DirectionSwitch
-            | EventKind::AdaptSwitch => "bfs",
+            | EventKind::DirectionSwitch => "bfs",
             EventKind::BatchSubmit
             | EventKind::BatchCoalesce
             | EventKind::BatchFlush
@@ -158,7 +153,6 @@ impl EventKind {
                 | EventKind::BatchComplete
                 | EventKind::BatchFailed
                 | EventKind::WorkerPanic
-                | EventKind::AdaptSwitch
         )
     }
 
@@ -178,7 +172,6 @@ impl EventKind {
             EventKind::BatchComplete => ("width", "batch"),
             EventKind::BatchFailed => ("width", "batch"),
             EventKind::WorkerPanic => ("worker", "epoch"),
-            EventKind::AdaptSwitch => ("depth", "strategy"),
             EventKind::EpochPublish => ("epoch", "cause"),
             EventKind::EpochPin => ("epoch", "width"),
         }

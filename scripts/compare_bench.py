@@ -160,7 +160,7 @@ def compare_runs(base, cur, args, base_name="baseline", cur_name="current"):
             bc, cc = base.get("config", {}), cur.get("config", {})
             print(f"note: configs differ (baseline {bc} vs current {cc})")
         print(f"normalized comparison: run-wide geomean ns/edge factor "
-              f"{cur_med / base_med:+.1%} (deltas below are relative "
+              f"{cur_med / base_med - 1:+.1%} (deltas below are relative "
               "standing within each run, not absolute time)")
     else:
         base_med = cur_med = base_min = cur_min = 1.0

@@ -55,8 +55,6 @@ REQUIRED_PROM_FAMILIES = [
     "pbfs_engine_expired_total",
     "pbfs_engine_failed_queries_total",
     "pbfs_sched_worker_panics_total",
-    "pbfs_adapt_samples_total",
-    "pbfs_adapt_switches_total",
     "pbfs_telemetry_dropped_events_total",
     "pbfs_trace_dropped_events_total",
     "pbfs_build_info",

@@ -320,72 +320,6 @@ fn engine_survives_panic_storm_and_recovers() {
     pbfs::fault::clear_all();
 }
 
-/// A panic injected mid-representation-switch (`core.adapt.switch`) fails
-/// only the batch it hit: every query still resolves exactly once, the
-/// adaptive engine keeps serving, and after the faults are exhausted a
-/// probe answers oracle-correct — no half-switched frontier state leaks
-/// into later batches.
-#[test]
-fn adapt_switch_panic_fails_only_that_batch() {
-    use pbfs::core::adapt::AdaptConfig;
-    use pbfs::core::options::BfsOptions;
-
-    let _g = guard();
-    pbfs::fault::clear_all();
-    pbfs::fault::set_seed(17);
-    // Forced-switch mode guarantees the switch site is reached every
-    // judged iteration; the sample site covers the measurement half.
-    pbfs::fault::configure(
-        "core.adapt.switch",
-        FailConfig::always(FailAction::Panic(None)).with_max(3),
-    );
-    pbfs::fault::configure(
-        "core.adapt.sample",
-        FailConfig::always(FailAction::Panic(None)).with_max(2),
-    );
-
-    let graph = Arc::new(gen::Kronecker::graph500(7).seed(21).generate());
-    let n = graph.num_vertices();
-    let verdict = with_watchdog(Duration::from_secs(60), {
-        let graph = Arc::clone(&graph);
-        move || {
-            let engine = QueryEngine::new(
-                Arc::clone(&graph),
-                EngineConfig::default()
-                    .with_workers(2)
-                    .with_max_latency(Duration::from_millis(1))
-                    .with_drain_timeout(Some(Duration::from_secs(2)))
-                    .with_bfs(BfsOptions::default().with_adapt(AdaptConfig::default().forced())),
-            );
-            let handles: Vec<_> = (0..16u32)
-                .map(|i| engine.submit((i * 5) % n as u32).expect("admission"))
-                .collect();
-            let (mut ok, mut failed) = (0u32, 0u32);
-            for h in handles {
-                match h.wait() {
-                    Ok(_) => ok += 1,
-                    Err(EngineError::BatchFailed { .. }) => failed += 1,
-                    Err(other) => panic!("unexpected error under adapt faults: {other}"),
-                }
-            }
-            let fired: u64 = pbfs::fault::stats().iter().map(|s| s.triggered).sum();
-            pbfs::fault::clear_all();
-            let d = engine
-                .submit(1)
-                .expect("engine accepts after adapt faults")
-                .wait()
-                .expect("engine answers after adapt faults");
-            (ok, failed, fired, d)
-        }
-    });
-    let (ok, failed, fired, probe) = verdict;
-    assert_eq!(ok + failed, 16, "exactly-once: every query resolved");
-    assert!(failed > 0, "an armed adapt site must have failed a batch");
-    assert!(fired > 0, "adapt sites must have fired");
-    assert_eq!(probe, textbook::bfs(&graph, 1).distances);
-    pbfs::fault::clear_all();
-}
-
 /// Faults inside the traversal phases and scheduler (not just the engine
 /// shell) are survived: arm the deepest sites directly with certainty.
 #[test]
@@ -540,15 +474,11 @@ fn narrow_flushes_never_enter_a_spawned_worker() {
 
 /// Every kernel reaches its own failpoint sites through the shared
 /// traversal driver. Each level-head site is armed alone: only its own
-/// kernel panics there, the other two run through it untouched. The
-/// representation-switch site fires for both adaptive kernels under
-/// forced switching and never for the sharded kernel, whose scan is
-/// always the summary scan.
+/// kernel panics there, the other two run through it untouched.
 #[test]
 fn every_kernel_reaches_its_own_sites() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    use pbfs::core::adapt::AdaptConfig;
     use pbfs::core::options::BfsOptions;
     use pbfs::core::prelude::{MsPbfs, NoopMsVisitor, NoopVisitor, ShardedMsBfs, SmsPbfsBit};
     use pbfs::graph::PartitionedCsr;
@@ -612,24 +542,6 @@ fn every_kernel_reaches_its_own_sites() {
         }
         assert!(panics(owner, &plain), "{owner:?} never reached {site}");
         assert_eq!(triggered(), vec![(site.to_string(), 1)], "{site}");
-    }
-
-    let forced = BfsOptions::default().with_adapt(AdaptConfig::default().forced());
-    for kernel in [Kernel::MsPbfs, Kernel::SmsPbfs] {
-        arm("core.adapt.switch");
-        assert!(
-            !panics(Kernel::Sharded, &forced),
-            "sharded switched representation"
-        );
-        assert!(
-            panics(kernel, &forced),
-            "{kernel:?} never switched representation"
-        );
-        assert_eq!(
-            triggered(),
-            vec![("core.adapt.switch".to_string(), 1)],
-            "{kernel:?}"
-        );
     }
     pbfs::fault::clear_all();
 }

@@ -241,46 +241,6 @@ fn zero_drain_deadline_fails_pending_with_shutdown_error() {
     });
 }
 
-/// The adaptive controller's switch counters are published synchronously
-/// inside the traversal — by the time a query's result is delivered
-/// through its handle, every switch that traversal took is already
-/// visible in the registry. A metrics scrape racing result delivery can
-/// therefore never observe a result whose switches are missing.
-#[test]
-fn adapt_switch_counters_publish_before_result_delivery() {
-    use pbfs::core::adapt::AdaptConfig;
-    use pbfs::core::options::BfsOptions;
-
-    with_watchdog(WATCHDOG, || {
-        let g = Arc::new(gen::uniform(400, 1600, 11));
-        let cfg = EngineConfig::default()
-            .with_workers(2)
-            .with_bfs(BfsOptions::default().with_adapt(AdaptConfig::default().forced()));
-        let mut engine = QueryEngine::new(Arc::clone(&g), cfg);
-
-        // Forced mode's first judged iteration always switches
-        // summary → sparse, so this exact series must grow per query.
-        let forced_series = || {
-            pbfs::telemetry::registry()
-                .counter_with(
-                    "pbfs_adapt_switches_total",
-                    "from=\"summary\",to=\"sparse\",reason=\"forced\"",
-                    "Adaptive controller switches by source, target and triggering rule",
-                )
-                .get()
-        };
-        let before = forced_series();
-        let h = engine.submit(0).unwrap();
-        let distances = h.wait().unwrap();
-        assert_eq!(distances, textbook::distances(&g, 0));
-        assert!(
-            forced_series() > before,
-            "switch counter must be published before the result is delivered"
-        );
-        engine.shutdown();
-    });
-}
-
 #[test]
 fn submit_shutdown_race_resolves_every_handle() {
     with_watchdog(WATCHDOG, || {

@@ -418,3 +418,53 @@ fn instrumented_sharded_bottom_up_reports_per_worker_work() {
         assert!(it.per_worker.is_empty(), "iteration {}", it.iteration);
     }
 }
+
+/// From one source under the default options, the single-source kernels
+/// take the directions and produce the levels of `MsPbfs<1>` and of
+/// `ShardedMsBfs<1>` over 1 and 2 partitions: the direction policy sees
+/// the same frontier, frontier degree and fully-seen degree whichever
+/// state the traversal keeps.
+#[test]
+fn single_source_kernels_take_the_mspbfs_directions() {
+    let pool = WorkerPool::new(WORKERS);
+    let kron = gen::Kronecker::graph500(8).seed(4).generate();
+    let hub = (0..kron.num_vertices() as u32)
+        .max_by_key(|&v| kron.degree(v))
+        .unwrap();
+    let cases = [
+        ("kronecker(8)", kron, hub),
+        ("broom(1000, 100)", broom(1000, 100), 0),
+    ];
+    for (name, g, s) in &cases {
+        let (n, s) = (g.num_vertices(), *s);
+        let opts = BfsOptions::default();
+        let vis = MsDistanceVisitor::<1>::new(n, 1);
+        let stats = MsPbfs::<1>::new(n).run(g, &pool, &[s], &opts, &vis);
+        let want = (levels(&stats), vis.into_distances().remove(0));
+        assert!(
+            want.0.iter().any(|l| l.0 == Direction::BottomUp),
+            "{name}: no bottom-up level in {:?}",
+            want.0
+        );
+
+        let vis = DistanceVisitor::new(n);
+        let stats = SmsPbfsBit::new(n).run(g, &pool, s, &opts, &vis);
+        let got = (levels(&stats), vis.into_distances());
+        assert_eq!(got, want, "{name}: SmsPbfsBit from {s}");
+
+        let vis = DistanceVisitor::new(n);
+        let stats = SmsPbfsByte::new(n).run(g, &pool, s, &opts, &vis);
+        let got = (levels(&stats), vis.into_distances());
+        assert_eq!(got, want, "{name}: SmsPbfsByte from {s}");
+
+        for parts in [1usize, 2] {
+            let part = PartitionedCsr::partition(g, parts, WORKERS, 64);
+            let (levels, mut dists) = run_sharded(&part, &pool, &[s]);
+            assert_eq!(
+                (levels, dists.remove(0)),
+                want,
+                "{name}: ShardedMsBfs<1>, {parts} partitions, from {s}"
+            );
+        }
+    }
+}
