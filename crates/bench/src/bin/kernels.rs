@@ -13,7 +13,7 @@
 //!   --trials N     timed repetitions per config (default 5)
 //!   --out FILE     JSON output path             (default BENCH_4.json)
 //!   --simd LEVEL   pin the bitset-kernel dispatch level
-//!                  (auto|scalar|sse2|avx2|avx512; default auto — the
+//!                  (auto|scalar|avx2|avx512; default auto — the
 //!                  strongest the CPU supports, clamped if unavailable)
 //! ```
 

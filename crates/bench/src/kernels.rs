@@ -81,8 +81,8 @@ pub struct KernelRow {
     pub width: usize,
     /// Frontier mode (`Flat` or `Summary`).
     pub mode: String,
-    /// Bitset-kernel dispatch level the row ran at (`scalar`, `sse2`,
-    /// `avx2` or `avx512`).
+    /// Bitset-kernel dispatch level the row ran at (`scalar`, `avx2` or
+    /// `avx512`).
     pub simd: String,
     /// Median wall nanoseconds per directed edge over the trials.
     pub median_ns_per_edge: f64,
@@ -196,13 +196,7 @@ fn bench_sms(
 }
 
 fn opts_for(mode: FrontierMode) -> BfsOptions {
-    let pd = match mode {
-        FrontierMode::Flat => 0,
-        FrontierMode::Summary => pbfs_core::options::DEFAULT_PREFETCH_DISTANCE,
-    };
-    BfsOptions::default()
-        .with_frontier_mode(mode)
-        .with_prefetch_distance(pd)
+    BfsOptions::default().with_frontier_mode(mode)
 }
 
 /// Runs every kernel configuration and returns its rows.

@@ -154,17 +154,11 @@ impl<const W: usize> Bits<W> {
     /// Fused settle — the per-vertex visit step of the paper's Listing 2:
     /// returns `(new, merged, flags)` where `new = self & !seen` (the
     /// traversals discovering this vertex now) and `merged = self | seen`,
-    /// computed in one pass at the current [`crate::simd`] dispatch level.
+    /// computed in one pass at the pre-resolved dispatch `level`.
     ///
     /// Replaces the separate `and_not` / `!= ` / `is_empty` / `|` passes the
-    /// settle loops used to chain; hot loops that settle many vertices
-    /// should hoist [`crate::simd::current`] and call [`Self::settle_at`].
-    #[inline]
-    pub fn settle(&self, seen: &Self) -> (Self, Self, crate::simd::SettleFlags) {
-        self.settle_at(crate::simd::current(), seen)
-    }
-
-    /// [`Self::settle`] at a pre-resolved dispatch level.
+    /// settle loops used to chain; hot loops hoist
+    /// [`crate::simd::current`] once per phase.
     #[inline]
     pub fn settle_at(
         &self,
@@ -379,14 +373,15 @@ mod tests {
     fn settle_matches_separate_ops() {
         let next = B256::single(3) | B256::single(100) | B256::single(255);
         let seen = B256::single(100) | B256::single(9);
-        let (new, merged, flags) = next.settle(&seen);
+        let lvl = crate::simd::current();
+        let (new, merged, flags) = next.settle_at(lvl, &seen);
         assert_eq!(new, next.and_not(&seen));
         assert_eq!(merged, next | seen);
         assert!(flags.new_any && flags.trimmed);
-        let (new2, merged2, f2) = seen.settle(&seen);
+        let (new2, merged2, f2) = seen.settle_at(lvl, &seen);
         assert!(new2.is_empty() && !f2.new_any && f2.trimmed);
         assert_eq!(merged2, seen);
-        let (_, _, f3) = B64::EMPTY.settle(&B64::ALL);
+        let (_, _, f3) = B64::EMPTY.settle_at(lvl, &B64::ALL);
         assert!(!f3.new_any && !f3.trimmed);
     }
 

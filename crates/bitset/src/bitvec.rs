@@ -307,13 +307,6 @@ impl AtomicBitVec {
             .for_each_active_chunk(start, end.min(self.len), f)
     }
 
-    /// Best-effort prefetch of the word holding bit `i` (no-op out of
-    /// range or off x86-64).
-    #[inline(always)]
-    pub fn prefetch_entry(&self, i: usize) {
-        crate::prefetch::prefetch_index(&self.words, i / WORD_BITS);
-    }
-
     /// Fused SMS settle over `start..end`: treats `self` as the `next`
     /// frontier and, one whole word at a time, trims the bits already set in
     /// `seen` out of `self`, merges the remainder into `seen`, and calls

@@ -211,12 +211,6 @@ impl AtomicByteVec {
             .for_each_active_chunk(start, end.min(self.bytes.len()), f)
     }
 
-    /// Best-effort prefetch of the cache line holding entry `i`.
-    #[inline]
-    pub fn prefetch_entry(&self, i: usize) {
-        crate::prefetch::prefetch_index(&self.bytes, i);
-    }
-
     /// Bytes of heap memory used.
     pub fn heap_bytes(&self) -> usize {
         self.bytes.len() + self.summary.heap_bytes()

@@ -24,9 +24,9 @@
 //!   word loads. Every parallel kernel scans through it unless asked for
 //!   the paper's flat scan; see [`summary`].
 //! * [`prefetch`] — a safe software-prefetch shim (no-op off x86-64) used
-//!   by the traversal kernels to hide the CSR offset → adjacency →
+//!   by the MS-PBFS kernel to hide the CSR offset → adjacency →
 //!   destination-state pointer-chase latency.
-//! * [`simd`] — runtime-dispatched (AVX-512 → AVX2 → SSE2 → scalar) vector
+//! * [`simd`] — runtime-dispatched (AVX-512 → AVX2 → scalar) vector
 //!   kernels for the hot bitset operations, bit-identical to the scalar
 //!   reference at every level, backed by the 64-byte cache-line-aligned
 //!   allocations of the atomic state types.

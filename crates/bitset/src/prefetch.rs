@@ -1,9 +1,9 @@
 //! Safe software-prefetch shim.
 //!
-//! The traversal kernels chase three dependent pointers per frontier
-//! vertex — CSR offset pair → adjacency slice → destination state word —
-//! and each hop is a likely cache miss on large graphs. Issuing a prefetch
-//! a few vertices (or neighbors) ahead overlaps those misses with useful
+//! The MS-PBFS kernel chases three dependent pointers per frontier vertex
+//! — CSR offset pair → adjacency slice → destination state entry — and
+//! each hop is a likely cache miss on large graphs. Issuing a prefetch a
+//! few vertices (or neighbors) ahead overlaps those misses with useful
 //! work. This module wraps the architecture intrinsic behind a safe,
 //! bounds-checked API with a portable no-op fallback, so kernels can
 //! prefetch unconditionally without `unsafe` or `cfg` noise.

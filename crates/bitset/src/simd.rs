@@ -11,20 +11,21 @@
 //!
 //! # Dispatch
 //!
-//! The ladder is AVX-512F → AVX2 → SSE2 → portable scalar. The best
+//! The ladder is AVX-512F → AVX2 → portable scalar. The best
 //! supported level is detected once via `is_x86_feature_detected!` and
 //! cached in a process-wide atomic; [`current`] reads it on every dispatch.
 //! Three overrides exist, strongest first:
 //!
 //! 1. [`set_level`] — programmatic override (the CLI `--simd` flag);
-//! 2. the `PBFS_SIMD` environment variable (`auto|scalar|sse2|avx2|avx512`),
+//! 2. the `PBFS_SIMD` environment variable (`auto|scalar|avx2|avx512`),
 //!    consulted when the cache is first populated — this is how CI forces a
 //!    whole test-suite run onto the portable path;
 //! 3. hardware detection.
 //!
 //! Requests beyond what the CPU supports are clamped, so forcing `avx512`
-//! on an SSE2-only machine degrades gracefully instead of faulting.
-//! Non-x86-64 builds compile to the scalar reference only.
+//! on an AVX2-only machine degrades gracefully instead of faulting. An
+//! x86-64 CPU without AVX2, like a non-x86-64 build, runs the scalar
+//! reference.
 //!
 //! # Bit-identity
 //!
@@ -40,11 +41,11 @@
 //!
 //! `#[target_feature]` functions cannot inline into callers compiled without
 //! the feature, so each dispatched call costs a real function call. That
-//! amortizes over a span (or a fused multi-output pass like [`settle`]) but
-//! not over a lone 1–2-word operation — which is why `Bits<W>`'s simple
+//! amortizes over a span (or a fused multi-output pass like [`settle_at`])
+//! but not over a lone 1–3-word operation — which is why `Bits<W>`'s simple
 //! binary operators keep their inline scalar loops and only the fused
-//! [`settle`] and the span kernels dispatch. Hot loops should hoist
-//! [`current`] once per phase and call the `*_at` variants.
+//! [`settle_at`] and the span kernels dispatch. Every primitive takes the
+//! level explicitly: hot loops hoist [`current`] once per phase.
 //!
 //! # Chaos
 //!
@@ -61,24 +62,21 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 pub enum SimdLevel {
     /// Portable word-at-a-time loops — the semantic reference.
     Scalar = 0,
-    /// 128-bit kernels (the x86-64 baseline).
-    Sse2 = 1,
     /// 256-bit kernels.
-    Avx2 = 2,
+    Avx2 = 1,
     /// 512-bit kernels (AVX-512F).
-    Avx512 = 3,
+    Avx512 = 2,
 }
 
 impl SimdLevel {
     /// Every level, weakest first.
-    pub const ALL: [SimdLevel; 4] = [Self::Scalar, Self::Sse2, Self::Avx2, Self::Avx512];
+    pub const ALL: [SimdLevel; 3] = [Self::Scalar, Self::Avx2, Self::Avx512];
 
     /// Stable lower-case name used by the CLI flag, the bench rows and the
     /// `pbfs_build_info{simd=…}` telemetry label.
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Sse2 => "sse2",
             Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
         }
@@ -89,7 +87,6 @@ impl SimdLevel {
     pub fn parse(s: &str) -> Option<SimdLevel> {
         match s {
             "scalar" => Some(Self::Scalar),
-            "sse2" => Some(Self::Sse2),
             "avx2" => Some(Self::Avx2),
             "avx512" => Some(Self::Avx512),
             _ => None,
@@ -98,9 +95,8 @@ impl SimdLevel {
 
     fn from_u8(v: u8) -> SimdLevel {
         match v {
-            1 => Self::Sse2,
-            2 => Self::Avx2,
-            3 => Self::Avx512,
+            1 => Self::Avx2,
+            2 => Self::Avx512,
             _ => Self::Scalar,
         }
     }
@@ -115,9 +111,6 @@ pub fn detected() -> SimdLevel {
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             return SimdLevel::Avx2;
-        }
-        if std::arch::is_x86_feature_detected!("sse2") {
-            return SimdLevel::Sse2;
         }
     }
     SimdLevel::Scalar
@@ -135,7 +128,7 @@ fn resolve_default() -> SimdLevel {
             None => {
                 eprintln!(
                     "pbfs-bitset: ignoring invalid PBFS_SIMD={v:?} \
-                     (expected auto|scalar|sse2|avx2|avx512)"
+                     (expected auto|scalar|avx2|avx512)"
                 );
                 best
             }
@@ -144,7 +137,7 @@ fn resolve_default() -> SimdLevel {
     }
 }
 
-/// The dispatch level every non-`*_at` primitive uses right now.
+/// The dispatch level the traversal kernels hoist once per phase.
 ///
 /// First call resolves detection (plus the `PBFS_SIMD` environment
 /// override) and caches it; later calls are one relaxed load.
@@ -188,21 +181,20 @@ fn clamp(level: SimdLevel) -> SimdLevel {
 /// vector body actually runs for `len` words. A 512-bit kernel handed a
 /// 4-word `Bits<4>` would execute only its word-at-a-time tail — paying
 /// the dispatch for nothing — so short spans route to the tier whose
-/// full-width loop they can feed (8 words per AVX-512 step, 4 per AVX2,
-/// 2 per SSE2). Results are bit-identical at every level, so this is
-/// purely a speed decision.
+/// full-width loop they can feed (8 words per AVX-512 step, 4 per AVX2)
+/// and spans under 4 words to the inlined scalar loop. Results are
+/// bit-identical at every level, so this is purely a speed decision.
 #[inline]
 fn clamp_len(level: SimdLevel, len: usize) -> SimdLevel {
     let widest = match len {
-        0..=1 => SimdLevel::Scalar,
-        2..=3 => SimdLevel::Sse2,
+        0..=3 => SimdLevel::Scalar,
         4..=7 => SimdLevel::Avx2,
         _ => SimdLevel::Avx512,
     };
     clamp(level).min(widest)
 }
 
-/// Outcome flags of the fused [`settle`] primitive.
+/// Outcome flags of the fused [`settle_at`] primitive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SettleFlags {
     /// `next & !seen` has at least one set bit: something was newly found.
@@ -223,9 +215,6 @@ pub fn or_assign_at(level: SimdLevel, dst: &mut [u64], src: &[u64]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { isa::avx2::or_assign(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Sse2 => unsafe { isa::sse2::or_assign(dst, src) },
         _ => scalar::or_assign(dst, src),
     }
 }
@@ -234,12 +223,7 @@ pub fn or_assign_at(level: SimdLevel, dst: &mut [u64], src: &[u64]) {
 /// seen[i]` in one pass, returning whether anything was newly discovered
 /// and whether `next` was trimmed. This is the per-vertex visit step of the
 /// paper's Listing 2 with its four separate word loops collapsed into one.
-#[inline]
-pub fn settle(next: &[u64], seen: &[u64], new: &mut [u64], merged: &mut [u64]) -> SettleFlags {
-    settle_at(current(), next, seen, new, merged)
-}
-
-/// [`settle`] at an explicit level (clamped to hardware support).
+/// Runs at `level`, clamped to hardware support.
 pub fn settle_at(
     level: SimdLevel,
     next: &[u64],
@@ -258,9 +242,6 @@ pub fn settle_at(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { isa::avx2::settle(next, seen, new, merged) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Sse2 => unsafe { isa::sse2::settle(next, seen, new, merged) },
         _ => scalar::settle(next, seen, new, merged),
     }
 }
@@ -268,13 +249,8 @@ pub fn settle_at(
 /// Bitmask of non-empty entries: `words` holds up to 64 consecutive entries
 /// of `entry_words` words each; bit `e` of the result is set iff entry `e`
 /// has any set bit. This is the vectorized "which vertices of this summary
-/// chunk are active" scan used by the gather kernels.
-#[inline]
-pub fn nonempty_mask(words: &[u64], entry_words: usize) -> u64 {
-    nonempty_mask_at(current(), words, entry_words)
-}
-
-/// [`nonempty_mask`] at an explicit level (clamped to hardware support).
+/// chunk are active" scan used by the gather kernels. Runs at `level`,
+/// clamped to hardware support.
 pub fn nonempty_mask_at(level: SimdLevel, words: &[u64], entry_words: usize) -> u64 {
     assert!(entry_words > 0, "entry_words must be positive");
     assert_eq!(words.len() % entry_words, 0, "partial trailing entry");
@@ -286,13 +262,12 @@ pub fn nonempty_mask_at(level: SimdLevel, words: &[u64], entry_words: usize) -> 
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { isa::avx2::nonempty_mask(words, entry_words) },
-        // 128-bit zero tests buy nothing over the scalar early-exit loop.
         _ => scalar::nonempty_mask(words, entry_words),
     }
 }
 
 /// `dst[i] |= src[i]` over two equal-length spans of atomic words, using
-/// plain (non-atomic) vector loads and stores.
+/// plain (non-atomic) vector loads and stores, at `level`.
 ///
 /// # Safety
 /// The caller must have *exclusive* access to every word of both spans for
@@ -301,16 +276,6 @@ pub fn nonempty_mask_at(level: SimdLevel, words: &[u64], entry_words: usize) -> 
 /// bijective range partitioning between phase barriers. `AtomicU64` has the
 /// same size, alignment and bit validity as `u64`, so under exclusivity the
 /// reborrow as plain words is sound.
-pub unsafe fn or_span_unsync(dst: &[AtomicU64], src: &[AtomicU64]) {
-    // SAFETY: forwarded from the caller contract.
-    or_span_unsync_at(current(), dst, src);
-}
-
-/// [`or_span_unsync`] at an explicit level — for hot loops that hoist the
-/// dispatch lookup out of the per-span path.
-///
-/// # Safety
-/// Same contract as [`or_span_unsync`].
 pub unsafe fn or_span_unsync_at(level: SimdLevel, dst: &[AtomicU64], src: &[AtomicU64]) {
     assert_eq!(dst.len(), src.len(), "or_span length mismatch");
     // SAFETY: exclusivity and non-overlap per the caller contract; the
@@ -323,28 +288,19 @@ pub unsafe fn or_span_unsync_at(level: SimdLevel, dst: &[AtomicU64], src: &[Atom
 /// Zero-fills a span of atomic words with one bulk memset.
 ///
 /// # Safety
-/// Exclusive access to the span, exactly as [`or_span_unsync`].
+/// Exclusive access to the span, exactly as [`or_span_unsync_at`].
 pub unsafe fn clear_span_unsync(words: &[AtomicU64]) {
     // SAFETY: exclusivity per the caller contract; zero is a valid value.
     std::ptr::write_bytes(words.as_ptr() as *mut u64, 0, words.len());
 }
 
-/// Snapshot of non-empty entries in a span of atomic words: the atomic
-/// counterpart of [`nonempty_mask`].
+/// Snapshot of non-empty entries in a span of atomic words, at `level`: the
+/// atomic counterpart of [`nonempty_mask_at`].
 ///
 /// # Safety
 /// No other thread may *write* the span during the call (concurrent readers
 /// are fine): the kernel reads non-atomically. The traversal kernels call
 /// this only on frontier arrays that are read-only within the phase.
-pub unsafe fn nonempty_mask_unsync(words: &[AtomicU64], entry_words: usize) -> u64 {
-    // SAFETY: forwarded from the caller contract.
-    nonempty_mask_unsync_at(current(), words, entry_words)
-}
-
-/// [`nonempty_mask_unsync`] at an explicit level.
-///
-/// # Safety
-/// Same contract as [`nonempty_mask_unsync`].
 pub unsafe fn nonempty_mask_unsync_at(
     level: SimdLevel,
     words: &[AtomicU64],
@@ -414,81 +370,6 @@ pub(crate) mod scalar {
 /// cache-line-splitting accesses.
 #[cfg(target_arch = "x86_64")]
 mod isa {
-    pub(super) mod sse2 {
-        use super::super::SettleFlags;
-        use core::arch::x86_64::*;
-
-        /// True iff all 16 bytes of `v` are zero.
-        #[inline]
-        #[target_feature(enable = "sse2")]
-        unsafe fn is_zero128(v: __m128i) -> bool {
-            _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_setzero_si128())) == 0xffff
-        }
-
-        /// # Safety
-        /// CPU must support SSE2.
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn or_assign(dst: &mut [u64], src: &[u64]) {
-            let n = dst.len();
-            let dp = dst.as_mut_ptr();
-            let sp = src.as_ptr();
-            let mut i = 0;
-            // SAFETY: `i + 2 <= n` keeps every 16-byte access in bounds.
-            while i + 2 <= n {
-                let d = dp.add(i).cast::<__m128i>();
-                let s = sp.add(i).cast::<__m128i>();
-                _mm_storeu_si128(d, _mm_or_si128(_mm_loadu_si128(d), _mm_loadu_si128(s)));
-                i += 2;
-            }
-            if i < n {
-                dst[i] |= src[i];
-            }
-        }
-
-        /// # Safety
-        /// CPU must support SSE2.
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn settle(
-            next: &[u64],
-            seen: &[u64],
-            new: &mut [u64],
-            merged: &mut [u64],
-        ) -> SettleFlags {
-            let n = next.len();
-            let np = next.as_ptr();
-            let sp = seen.as_ptr();
-            let wp = new.as_mut_ptr();
-            let mp = merged.as_mut_ptr();
-            let mut acc_new = _mm_setzero_si128();
-            let mut acc_tr = _mm_setzero_si128();
-            let mut i = 0;
-            // SAFETY: `i + 2 <= n` keeps every 16-byte access in bounds.
-            while i + 2 <= n {
-                let nv = _mm_loadu_si128(np.add(i).cast());
-                let sv = _mm_loadu_si128(sp.add(i).cast());
-                let fresh = _mm_andnot_si128(sv, nv);
-                _mm_storeu_si128(wp.add(i).cast(), fresh);
-                _mm_storeu_si128(mp.add(i).cast(), _mm_or_si128(nv, sv));
-                acc_new = _mm_or_si128(acc_new, fresh);
-                acc_tr = _mm_or_si128(acc_tr, _mm_and_si128(nv, sv));
-                i += 2;
-            }
-            let mut any = !is_zero128(acc_new);
-            let mut tr = !is_zero128(acc_tr);
-            if i < n {
-                let (nx, sn) = (next[i], seen[i]);
-                new[i] = nx & !sn;
-                merged[i] = nx | sn;
-                any |= nx & !sn != 0;
-                tr |= nx & sn != 0;
-            }
-            SettleFlags {
-                new_any: any,
-                trimmed: tr,
-            }
-        }
-    }
-
     pub(super) mod avx2 {
         use super::super::SettleFlags;
         use core::arch::x86_64::*;
@@ -809,8 +690,9 @@ mod tests {
         let n = 67usize;
         let dst: Vec<AtomicU64> = (0..n).map(|i| AtomicU64::new(i as u64 * 3)).collect();
         let src: Vec<AtomicU64> = (0..n).map(|i| AtomicU64::new(1u64 << (i % 64))).collect();
+        let lvl = current();
         // SAFETY: both vecs are exclusively owned by this test.
-        unsafe { or_span_unsync(&dst, &src) };
+        unsafe { or_span_unsync_at(lvl, &dst, &src) };
         for (i, d) in dst.iter().enumerate() {
             assert_eq!(
                 d.load(Ordering::Relaxed),
@@ -818,7 +700,7 @@ mod tests {
             );
         }
         // SAFETY: as above.
-        let mask = unsafe { nonempty_mask_unsync(&dst[..64], 1) };
+        let mask = unsafe { nonempty_mask_unsync_at(lvl, &dst[..64], 1) };
         assert_eq!(mask, u64::MAX);
         // SAFETY: as above.
         unsafe { clear_span_unsync(&dst) };

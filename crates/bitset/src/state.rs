@@ -214,7 +214,7 @@ impl<const W: usize> StateArray<W> {
     }
 
     /// OR-merges entries `start..end` of `src` into the same entries of
-    /// `self` in one vectorized span pass — the sharded kernel's
+    /// `self` in one vectorized span pass at `level` — the sharded kernel's
     /// gather-union primitive. Summary bits are propagated conservatively
     /// from `src`'s summary over the range.
     ///
@@ -222,16 +222,6 @@ impl<const W: usize> StateArray<W> {
     /// The caller must have exclusive access to entries `start..end` of
     /// *both* arrays for the duration of the call, and the two arrays must
     /// be distinct.
-    pub unsafe fn or_from(&self, src: &StateArray<W>, start: usize, end: usize) {
-        // SAFETY: forwarded from the caller contract.
-        self.or_from_at(crate::simd::current(), src, start, end)
-    }
-
-    /// [`Self::or_from`] at an explicit dispatch level — for hot loops that
-    /// resolve the level once per phase.
-    ///
-    /// # Safety
-    /// Same contract as [`Self::or_from`].
     pub unsafe fn or_from_at(
         &self,
         level: crate::simd::SimdLevel,
@@ -423,7 +413,7 @@ mod tests {
             b.set(v, B128::single((v + 1) % 128));
         }
         // SAFETY: both arrays are exclusively owned by this test.
-        unsafe { a.or_from(&b, 10, 150) };
+        unsafe { a.or_from_at(crate::simd::current(), &b, 10, 150) };
         for v in 0..200 {
             let mut want = if v % 3 == 0 {
                 B128::single(v % 128)

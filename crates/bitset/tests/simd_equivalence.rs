@@ -1,7 +1,7 @@
 //! Property tests: every SIMD dispatch level must be bit-identical to the
 //! portable scalar reference — on random word slices of every length
 //! (exercising each kernel's vector body *and* its scalar tail), on the
-//! fused `Bits::settle`, and on whole `StateArray` span kernels.
+//! fused `Bits::settle_at`, and on whole `StateArray` span kernels.
 //!
 //! `*_at(level, …)` clamps to hardware support internally, so iterating
 //! `SimdLevel::ALL` is sound on any machine: unsupported levels degrade to
@@ -111,8 +111,8 @@ proptest! {
         let expected_merged = nx | sn;
         for level in SimdLevel::ALL {
             let (new, merged, flags) = nx.settle_at(level, &sn);
-            prop_assert_eq!(new, expected_new, "Bits::settle new diverged at {:?}", level);
-            prop_assert_eq!(merged, expected_merged, "Bits::settle merged diverged at {:?}", level);
+            prop_assert_eq!(new, expected_new, "Bits::settle_at new diverged at {:?}", level);
+            prop_assert_eq!(merged, expected_merged, "Bits::settle_at merged diverged at {:?}", level);
             prop_assert_eq!(flags.new_any, !expected_new.is_empty(), "{:?}", level);
             prop_assert_eq!(flags.trimmed, !(nx & sn).is_empty(), "{:?}", level);
         }
@@ -142,7 +142,7 @@ proptest! {
                 if writes.iter().any(|&(w, _)| w % len == v) {
                     expected |= Bits::single(0);
                 }
-                prop_assert_eq!(dst.get(v), expected, "or_from diverged at {:?}", level);
+                prop_assert_eq!(dst.get(v), expected, "or_from_at diverged at {:?}", level);
             }
             let mut cs = 0;
             while cs < len {

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 /// Usage text shared by `--help` and error paths.
 pub const USAGE: &str = "\
 usage:
-  every command accepts --simd auto|scalar|sse2|avx2|avx512 to pin the
+  every command accepts --simd auto|scalar|avx2|avx512 to pin the
   bitset-kernel dispatch level (default auto: the strongest level the CPU
   supports; requests beyond hardware support are clamped with a warning;
   the PBFS_SIMD environment variable sets the same default)
@@ -13,22 +13,19 @@ usage:
         kinds: kronecker kg0 social web collab hub uniform watts-strogatz
   pbfs stats FILE [--text]
   pbfs bfs FILE --source N [--algo sms-bit|sms-byte|ms|beamer|textbook]
-        [--workers N] [--frontier flat|summary] [--prefetch-distance N]
-        [--validate] [--text]
+        [--workers N] [--frontier flat|summary] [--validate] [--text]
         --frontier selects how the kernels walk the frontier (default
         summary: skip 64-vertex chunks the frontier summary marks
-        inactive; flat: the paper's linear scan); --prefetch-distance
-        sets the software-prefetch lookahead (0 disables prefetching);
-        both apply wherever a command lists them
+        inactive; flat: the paper's linear scan) wherever a command
+        lists it
   pbfs centrality FILE --measure closeness|harmonic|betweenness [--top K]
-        [--workers N] [--frontier flat|summary] [--prefetch-distance N]
-        [--text]
+        [--workers N] [--frontier flat|summary] [--text]
   pbfs relabel FILE --scheme striped|ordered|random [--workers N] [--seed N] [--text] -o FILE
   pbfs queries [FILE] [--scale N] [--queries N] [--threads N] [--workers N]
         [--shards N] [--max-batch N] [--max-latency-us N] [--rate QPS]
         [--seed N] [--text] [--max-queue N] [--query-timeout MS]
-        [--drain-timeout MS] [--frontier flat|summary] [--prefetch-distance N]
-        [--trace-out FILE] [--mutations FILE]
+        [--drain-timeout MS] [--frontier flat|summary] [--trace-out FILE]
+        [--mutations FILE]
         replays a query trace through the batched engine; without FILE a
         Kronecker graph of --scale is generated; --threads sets the
         engine's workers (--workers is read when --threads is absent,
@@ -47,13 +44,13 @@ usage:
         from exactly one published epoch (snapshot isolation)
   pbfs metrics [FILE] [--scale N] [--queries N] [--threads N] [--workers N]
         [--shards N] [--seed N] [--max-queue N] [--frontier flat|summary]
-        [--prefetch-distance N] [--json] [--text]
+        [--json] [--text]
         runs a small replay and prints the telemetry registry as
         Prometheus text exposition (default) or JSON (--json); a tiny
         --max-queue forces Overloaded rejections into the export
   pbfs profile [FILE] [--scale N] [--seed N] [--source N] [--algo ms|sms-bit|sms-byte]
-        [--batch N] [--workers N] [--frontier flat|summary]
-        [--prefetch-distance N] [-o FILE] [--folded-out FILE] [--text]
+        [--batch N] [--workers N] [--frontier flat|summary] [-o FILE]
+        [--folded-out FILE] [--text]
         runs one instrumented traversal and prints a phase-attributed
         profile (per-iteration expand/settle/bottom-up wall time, edges
         relaxed, summary-scan activity, modeled bytes touched); without
@@ -64,7 +61,7 @@ usage:
         stacks
   pbfs top [FILE] [--scale N] [--queries N] [--threads N] [--workers N]
         [--seed N] [--interval-ms N] [--ticks N] [--frontier flat|summary]
-        [--prefetch-distance N] [--text]
+        [--text]
         drives a background query replay through the batched engine and
         prints a live dashboard line per tick (query/batch rates, queue
         depth, in-flight count, p50/p99 latency, trace-ring drops) read

@@ -9,7 +9,7 @@ use pbfs_core::batch::{gteps, total_traversed_edges};
 use pbfs_core::beamer::{DirectionOptBfs, QueueKind};
 use pbfs_core::centrality::{betweenness_centrality_parallel, harmonic_centrality};
 use pbfs_core::engine::{EngineConfig, EngineError, QueryEngine};
-use pbfs_core::options::{BfsOptions, DEFAULT_PREFETCH_DISTANCE};
+use pbfs_core::options::BfsOptions;
 use pbfs_core::policy::FrontierMode;
 use pbfs_core::smspbfs::{SmsPbfsBit, SmsPbfsByte};
 use pbfs_core::storage::{EdgeMutation, GraphStore};
@@ -28,12 +28,15 @@ use crate::args::{Args, USAGE};
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     // Pin the bitset-kernel dispatch level before anything traverses:
-    // `--simd` beats the PBFS_SIMD environment default, and requests the
-    // CPU cannot honor are clamped (loudly) rather than crashing.
+    // `--simd` beats the PBFS_SIMD environment default (`auto` restores
+    // it), and requests the CPU cannot honor are clamped (loudly) rather
+    // than crashing.
     let effective = match args.get("simd") {
+        Some("auto") => pbfs_bitset::simd::set_level(None),
         Some(spec) => {
-            let wanted = SimdLevel::parse(spec)
-                .ok_or_else(|| format!("invalid value for --simd: {spec}"))?;
+            let wanted = SimdLevel::parse(spec).ok_or_else(|| {
+                format!("invalid value for --simd: {spec} (auto|scalar|avx2|avx512)")
+            })?;
             let effective = pbfs_bitset::simd::set_level(Some(wanted));
             if effective != wanted {
                 eprintln!(
@@ -84,40 +87,33 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "scale vertices degree seed text output",
     ),
     ("stats", stats, "text"),
-    (
-        "bfs",
-        bfs,
-        "source algo workers frontier prefetch-distance validate text",
-    ),
+    ("bfs", bfs, "source algo workers frontier validate text"),
     (
         "centrality",
         centrality,
-        "measure top workers frontier prefetch-distance text",
+        "measure top workers frontier text",
     ),
     ("relabel", relabel, "scheme workers seed text output"),
     (
         "queries",
         queries,
         "scale queries threads workers shards max-batch max-latency-us rate seed text \
-         max-queue query-timeout drain-timeout frontier prefetch-distance trace-out mutations",
+         max-queue query-timeout drain-timeout frontier trace-out mutations",
     ),
     (
         "metrics",
         metrics,
-        "scale queries threads workers shards seed max-queue frontier prefetch-distance \
-         json text",
+        "scale queries threads workers shards seed max-queue frontier json text",
     ),
     (
         "profile",
         profile,
-        "scale seed source algo batch workers frontier prefetch-distance output \
-         folded-out text",
+        "scale seed source algo batch workers frontier output folded-out text",
     ),
     (
         "top",
         top,
-        "scale queries threads workers seed interval-ms ticks frontier prefetch-distance \
-         text",
+        "scale queries threads workers seed interval-ms ticks frontier text",
     ),
     (
         "chaos",
@@ -156,17 +152,16 @@ fn save(args: &Args, g: &CsrGraph) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds [`BfsOptions`] from the shared traversal knobs: `--frontier
-/// flat|summary` and `--prefetch-distance N`.
+/// Builds [`BfsOptions`] from the shared traversal knob `--frontier
+/// flat|summary`.
 fn bfs_options(args: &Args) -> Result<BfsOptions, String> {
-    let mut opts = BfsOptions::default();
-    if let Some(s) = args.get("frontier") {
-        let mode = FrontierMode::parse(s)
-            .ok_or_else(|| format!("invalid value for --frontier: {s} (flat or summary)"))?;
-        opts = opts.with_frontier_mode(mode);
-    }
-    let pd: usize = args.num("prefetch-distance", DEFAULT_PREFETCH_DISTANCE)?;
-    Ok(opts.with_prefetch_distance(pd))
+    let opts = BfsOptions::default();
+    let Some(s) = args.get("frontier") else {
+        return Ok(opts);
+    };
+    let mode = FrontierMode::parse(s)
+        .ok_or_else(|| format!("invalid value for --frontier: {s} (flat or summary)"))?;
+    Ok(opts.with_frontier_mode(mode))
 }
 
 fn workers(args: &Args) -> Result<usize, String> {
@@ -1166,6 +1161,29 @@ mod tests {
     }
 
     #[test]
+    fn simd_flag_accepts_auto_and_names_the_choices() {
+        let dir = scratch_dir("simd");
+        let graph = dir.join("g.txt");
+        let graph = graph.display();
+        run(&format!(
+            "generate uniform --vertices 16 --degree 2 --text -o {graph}"
+        ))
+        .unwrap();
+        run(&format!("stats {graph} --text --simd auto")).unwrap();
+        let err = run(&format!("stats {graph} --text --simd sse2")).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid value for --simd: sse2 (auto|scalar|avx2|avx512)"
+        );
+        let err = run(&format!(
+            "bfs {graph} --text --source 0 --prefetch-distance 4"
+        ))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag for `pbfs bfs`: --prefetch-distance");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn bfs_and_queries_run_with_every_usage_flag() {
         let dir = scratch_dir("runs");
         let graph = dir.join("g.txt");
@@ -1181,14 +1199,14 @@ mod tests {
         .unwrap();
         run(&format!(
             "bfs {graph} --text --source 0 --algo sms-bit --workers 1 --frontier flat \
-             --prefetch-distance 4 --validate"
+             --validate"
         ))
         .unwrap();
         run(&format!(
             "queries {graph} --text --scale 6 --queries 16 --threads 1 --shards 1 \
              --max-batch 64 --max-latency-us 500 --rate 0 --seed 3 --max-queue 64 \
-             --query-timeout 0 --drain-timeout 0 --frontier summary --prefetch-distance 4 \
-             --trace-out {} --mutations {}",
+             --query-timeout 0 --drain-timeout 0 --frontier summary --trace-out {} \
+             --mutations {}",
             trace.display(),
             script.display()
         ))

@@ -6,9 +6,9 @@
 //! phases or one bottom-up phase with the traversal's frontier scan,
 //! recycle the buffers and record the level's statistics. [`run`] owns
 //! that loop. A [`Kernel`] supplies its state init and seeding and the
-//! phase bodies, which keep their hot per-vertex loops, SIMD level and
-//! prefetching. The driver acts once per level and once per task range,
-//! never per vertex, and calls the bodies through generics, so they stay
+//! phase bodies, which keep their hot per-vertex loops and SIMD level.
+//! The driver acts once per level and once per task range, never per
+//! vertex, and calls the bodies through generics, so they stay
 //! monomorphized.
 
 use std::ops::{AddAssign, Range};
@@ -18,7 +18,6 @@ use std::time::Instant;
 use crossbeam::utils::CachePadded;
 use pbfs_bitset::simd::SimdLevel;
 use pbfs_bitset::{ScanStats, SUMMARY_CHUNK};
-use pbfs_graph::VertexId;
 use pbfs_sched::{RunStats, WorkerPool};
 use pbfs_telemetry::{EventKind, PerWorkerU64};
 
@@ -331,53 +330,4 @@ pub(crate) fn run<K: Kernel>(
     crate::obs::note_traversal(stats.total_discovered);
     stats.total_wall_ns = start.elapsed().as_nanos() as u64;
     stats
-}
-
-/// Calls `f(i)` for `i in 0..len` with the adjacency of vertex `i + pd`
-/// prefetched, so the pointer chase over a batch of frontier vertices
-/// pipelines `pd` deep. The CSR offsets of all `len` vertices are
-/// prefetched up front.
-#[inline]
-pub(crate) fn pipelined<G: Adjacency + ?Sized>(
-    g: &G,
-    pd: usize,
-    len: usize,
-    vertex: impl Fn(usize) -> VertexId,
-    mut f: impl FnMut(usize),
-) {
-    if pd > 0 {
-        for i in 0..len {
-            g.prefetch_offsets(vertex(i));
-        }
-    }
-    for i in 0..len {
-        if pd > 0 && i + pd < len {
-            g.prefetch_neighbors(vertex(i + pd));
-        }
-        f(i);
-    }
-}
-
-/// Calls `f` on each of `nbrs` with the state entry `pd` neighbors ahead
-/// prefetched through `warm`; stops once `f` returns false.
-#[inline]
-pub(crate) fn prefetched(
-    nbrs: &[VertexId],
-    pd: usize,
-    warm: impl Fn(usize),
-    mut f: impl FnMut(VertexId) -> bool,
-) {
-    if pd > 0 {
-        for &v in &nbrs[..pd.min(nbrs.len())] {
-            warm(v as usize);
-        }
-    }
-    for (j, &v) in nbrs.iter().enumerate() {
-        if pd > 0 && j + pd < nbrs.len() {
-            warm(nbrs[j + pd] as usize);
-        }
-        if !f(v) {
-            break;
-        }
-    }
 }

@@ -325,7 +325,7 @@ impl EngineConfig {
     }
 
     /// Returns a copy with the given per-traversal BFS options (frontier
-    /// mode, prefetch distance, direction policy, ...).
+    /// mode, direction policy, ...).
     pub fn with_bfs(mut self, bfs: BfsOptions) -> Self {
         self.bfs = bfs;
         self

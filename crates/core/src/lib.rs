@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::engine::{EngineConfig, EngineError, EngineStats, QueryEngine, QueryHandle};
     pub use crate::msbfs::MsBfs;
     pub use crate::mspbfs::MsPbfs;
-    pub use crate::options::{AtomicKind, BfsOptions, DEFAULT_PREFETCH_DISTANCE};
+    pub use crate::options::{AtomicKind, BfsOptions};
     pub use crate::policy::{Direction, DirectionPolicy, FrontierMode};
     pub use crate::sharded::ShardedMsBfs;
     pub use crate::smspbfs::{SmsPbfsBit, SmsPbfsByte};

@@ -172,15 +172,15 @@ impl<'a, G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Batch<'a, G, V,
     /// entries scanned.
     #[inline]
     fn expand_vertex(&self, v: usize, f: Bits<W>) -> u64 {
-        let (next, pd) = (self.next, self.opts.prefetch_distance);
+        let next = self.next;
         let nbrs = self.g.neighbors_fast(v as VertexId);
         let warm = |i| next.prefetch_entry(i);
         match self.opts.atomic {
-            AtomicKind::FetchOr => driver::prefetched(nbrs, pd, warm, |nbr| {
+            AtomicKind::FetchOr => prefetched(nbrs, warm, |nbr| {
                 next.fetch_or(nbr as usize, f);
                 true
             }),
-            AtomicKind::CasLoop => driver::prefetched(nbrs, pd, warm, |nbr| {
+            AtomicKind::CasLoop => prefetched(nbrs, warm, |nbr| {
                 next.fetch_or_cas(nbr as usize, f);
                 true
             }),
@@ -252,7 +252,7 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
 
     /// Phase 1: frontier → next, synchronized by atomic OR.
     fn expand(&self, step: &Step, r: Range<usize>) -> Tally {
-        let (g, frontier, pd) = (self.g, self.frontier, self.opts.prefetch_distance);
+        let (g, frontier) = (self.g, self.frontier);
         let mut t = Tally::default();
         match step.scan {
             FrontierMode::Flat => {
@@ -281,8 +281,7 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
                         fbuf[cnt] = frontier.get(v);
                         cnt += 1;
                     }
-                    let vertex = |i: usize| vbuf[i];
-                    driver::pipelined(g, pd, cnt, vertex, |i| {
+                    pipelined(g, &vbuf[..cnt], |i| {
                         t.visited += self.expand_vertex(vbuf[i] as usize, fbuf[i])
                     });
                 });
@@ -338,7 +337,7 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
             }
             let nbrs = self.g.neighbors_fast(u as VertexId);
             let mut acc = Bits::EMPTY;
-            driver::prefetched(nbrs, self.opts.prefetch_distance, warm, |v| {
+            prefetched(nbrs, warm, |v| {
                 t.visited += 1;
                 acc |= frontier.get(v as usize);
                 !(early_exit && (acc | seen_u) == full)
@@ -369,6 +368,48 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
         next.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
             next.clear_range_owned(cs, ce)
         })
+    }
+}
+
+/// Software-prefetch lookahead of the MS-PBFS hot loops. An entry is
+/// `8·W` bytes, a whole cache line per neighbor at `W = 8`, so each
+/// neighbor touches its own line and warming it ahead hides the miss.
+/// The single-source kernels pack 64 or 512 vertices per line and do not
+/// prefetch.
+const PREFETCH_DISTANCE: usize = 4;
+
+/// Calls `f(i)` for each index of `vs` with the adjacency of vertex
+/// `vs[i + PREFETCH_DISTANCE]` prefetched, so the pointer chase over a
+/// batch of frontier vertices pipelines. The CSR offsets of all of `vs`
+/// are prefetched up front.
+#[inline]
+fn pipelined<G: Adjacency + ?Sized>(g: &G, vs: &[VertexId], mut f: impl FnMut(usize)) {
+    for &v in vs {
+        g.prefetch_offsets(v);
+    }
+    for i in 0..vs.len() {
+        if i + PREFETCH_DISTANCE < vs.len() {
+            g.prefetch_neighbors(vs[i + PREFETCH_DISTANCE]);
+        }
+        f(i);
+    }
+}
+
+/// Calls `f` on each of `nbrs` with the state entry `PREFETCH_DISTANCE`
+/// neighbors ahead prefetched through `warm`; stops once `f` returns
+/// false.
+#[inline]
+fn prefetched(nbrs: &[VertexId], warm: impl Fn(usize), mut f: impl FnMut(VertexId) -> bool) {
+    for &v in &nbrs[..PREFETCH_DISTANCE.min(nbrs.len())] {
+        warm(v as usize);
+    }
+    for (j, &v) in nbrs.iter().enumerate() {
+        if j + PREFETCH_DISTANCE < nbrs.len() {
+            warm(nbrs[j + PREFETCH_DISTANCE] as usize);
+        }
+        if !f(v) {
+            break;
+        }
     }
 }
 
@@ -448,16 +489,12 @@ mod tests {
     }
 
     #[test]
-    fn frontier_modes_and_prefetch_distances_match() {
+    fn frontier_modes_match() {
         let g = gen::Kronecker::graph500(10).seed(21).generate();
         let sources: Vec<u32> = (0..48).map(|i| i * 11 % 1024).collect();
         for mode in [FrontierMode::Flat, FrontierMode::Summary] {
-            for pd in [0usize, 4, 16] {
-                let opts = BfsOptions::default()
-                    .with_frontier_mode(mode)
-                    .with_prefetch_distance(pd);
-                check_batch::<1>(&g, &sources, 4, &opts);
-            }
+            let opts = BfsOptions::default().with_frontier_mode(mode);
+            check_batch::<1>(&g, &sources, 4, &opts);
         }
     }
 

@@ -16,11 +16,6 @@ pub enum AtomicKind {
     CasLoop,
 }
 
-/// Default software-prefetch lookahead: deep enough to cover an L2 miss
-/// with the work of a few frontier vertices, shallow enough that the
-/// prefetched lines survive until use.
-pub const DEFAULT_PREFETCH_DISTANCE: usize = 4;
-
 /// Per-run configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BfsOptions {
@@ -40,12 +35,6 @@ pub struct BfsOptions {
     /// How the kernels iterate the frontier arrays: summary-guided chunk
     /// skipping, or the paper's linear scan.
     pub frontier_mode: FrontierMode,
-    /// Software-prefetch lookahead in the traversal hot loops: while
-    /// processing frontier vertex (or neighbor) `i`, prefetch the CSR /
-    /// state data of `i + prefetch_distance`. `0` disables prefetching;
-    /// `Flat` mode with distance 0 reproduces the pre-summary kernels
-    /// exactly.
-    pub prefetch_distance: usize,
     /// Collect per-iteration, per-worker statistics. Costs one `Instant`
     /// read per task; leave off in throughput measurements.
     pub instrument: bool,
@@ -67,7 +56,6 @@ impl Default for BfsOptions {
             chunk_skip: true,
             early_exit: true,
             frontier_mode: FrontierMode::default(),
-            prefetch_distance: DEFAULT_PREFETCH_DISTANCE,
             instrument: false,
             query_set: 0,
             max_iterations: None,
@@ -100,12 +88,6 @@ impl BfsOptions {
         self
     }
 
-    /// Returns a copy with the given prefetch lookahead (0 disables).
-    pub fn with_prefetch_distance(mut self, distance: usize) -> Self {
-        self.prefetch_distance = distance;
-        self
-    }
-
     /// Returns a copy attributed to the given query-set id (0 clears).
     pub fn with_query_set(mut self, query_set: u64) -> Self {
         self.query_set = query_set;
@@ -125,7 +107,6 @@ mod tests {
         assert!(o.chunk_skip);
         assert!(o.early_exit);
         assert_eq!(o.frontier_mode, FrontierMode::Summary);
-        assert_eq!(o.prefetch_distance, 4);
         assert!(!o.instrument);
         assert_eq!(o.query_set, 0);
         assert!(o.max_iterations.is_none());
@@ -136,11 +117,9 @@ mod tests {
         let o = BfsOptions::default()
             .instrumented()
             .with_split_size(64)
-            .with_frontier_mode(FrontierMode::Flat)
-            .with_prefetch_distance(0);
+            .with_frontier_mode(FrontierMode::Flat);
         assert!(o.instrument);
         assert_eq!(o.split_size, 64);
         assert_eq!(o.frontier_mode, FrontierMode::Flat);
-        assert_eq!(o.prefetch_distance, 0);
     }
 }

@@ -213,7 +213,6 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
             0 => self.ms.next,
             node => &self.rest[node - 1],
         };
-        let warm = |i| dst.prefetch_entry(i);
         let mut t = Tally::default();
         t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
             // SAFETY: the scatter phase only reads `frontier` (all writes
@@ -224,10 +223,9 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
                 let v = cs + mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let (f, nbrs) = (frontier.get(v), part.neighbors_fast(v as VertexId));
-                driver::prefetched(nbrs, self.ms.opts.prefetch_distance, warm, |nbr| {
+                for &nbr in nbrs {
                     dst.fetch_or(nbr as usize, f);
-                    true
-                });
+                }
                 t.visited += nbrs.len() as u64;
             }
         });

@@ -21,7 +21,7 @@
 use std::ops::Range;
 
 use crate::storage::Adjacency;
-use pbfs_bitset::{AtomicBitVec, AtomicByteVec, ScanStats, SUMMARY_CHUNK};
+use pbfs_bitset::{AtomicBitVec, AtomicByteVec, ScanStats};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 
@@ -96,8 +96,6 @@ pub trait SsState: Sync {
         end: usize,
         f: impl FnMut(usize, usize),
     ) -> ScanStats;
-    /// Best-effort prefetch of entry `i`'s storage.
-    fn prefetch_entry(&self, i: usize);
     /// Heap bytes used.
     fn heap_bytes(&self) -> usize;
 }
@@ -167,10 +165,6 @@ impl SsState for BitState {
     ) -> ScanStats {
         self.0.for_each_active_chunk(start, end, f)
     }
-    #[inline]
-    fn prefetch_entry(&self, i: usize) {
-        self.0.prefetch_entry(i);
-    }
     fn heap_bytes(&self) -> usize {
         self.0.heap_bytes()
     }
@@ -227,10 +221,6 @@ impl SsState for ByteState {
         f: impl FnMut(usize, usize),
     ) -> ScanStats {
         self.0.for_each_active_chunk(start, end, f)
-    }
-    #[inline]
-    fn prefetch_entry(&self, i: usize) {
-        self.0.prefetch_entry(i);
     }
     fn heap_bytes(&self) -> usize {
         self.0.heap_bytes()
@@ -352,19 +342,15 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
     /// range for buffer reuse.
     fn expand(&self, step: &Step, r: Range<usize>) -> Tally {
         let (g, frontier, next) = (self.g, self.frontier, self.next);
-        let (pd, chunk) = (self.opts.prefetch_distance, self.opts.chunk_skip);
+        let chunk = self.opts.chunk_skip;
         let mut t = Tally::default();
-        // Expand one frontier vertex, prefetching the state entries of
-        // neighbors ahead so the claim hits warm cache lines.
-        let warm = |i| next.prefetch_entry(i);
         let mut expand = |v: usize| {
-            driver::prefetched(g.neighbors_fast(v as VertexId), pd, warm, |nbr| {
+            for &nbr in g.neighbors_fast(v as VertexId) {
                 t.visited += 1;
                 if next.set_shared(nbr as usize) {
                     self.visitor.on_tree_edge(v as VertexId, nbr);
                 }
-                true
-            });
+            }
         };
         match step.scan {
             FrontierMode::Flat => {
@@ -373,15 +359,7 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
             }
             FrontierMode::Summary => {
                 t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                    // Gather the chunk's active vertices so the CSR pointer
-                    // chase can be pipelined.
-                    let mut vbuf = [0u32; SUMMARY_CHUNK];
-                    let mut cnt = 0usize;
-                    frontier.for_each_set(cs, ce, chunk, |v| {
-                        vbuf[cnt] = v as u32;
-                        cnt += 1;
-                    });
-                    driver::pipelined(g, pd, cnt, |i| vbuf[i], |i| expand(vbuf[i] as usize));
+                    frontier.for_each_set(cs, ce, chunk, &mut expand);
                     // Nothing reads this chunk again: clear it (and its
                     // summary bit — chunks are clear-exact here).
                     frontier.clear_range(cs, ce);
@@ -415,23 +393,20 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
     /// Listing 4: pull from frontier neighbors.
     fn bottom_up(&self, step: &Step, r: Range<usize>) -> Tally {
         let (g, seen, frontier, next) = (self.g, self.seen, self.frontier, self.next);
-        let pd = self.opts.prefetch_distance;
         let mut t = Tally::default();
-        let warm = |i| frontier.prefetch_entry(i);
         seen.for_each_clear(r.start, r.end, self.opts.chunk_skip, |u| {
-            driver::prefetched(g.neighbors_fast(u as VertexId), pd, warm, |v| {
+            for &v in g.neighbors_fast(u as VertexId) {
                 t.visited += 1;
-                if !frontier.get(v as usize) {
-                    return true;
+                if frontier.get(v as usize) {
+                    next.set_owned(u);
+                    seen.set_owned(u);
+                    self.visitor.on_found(u as VertexId, step.depth);
+                    self.visitor.on_tree_edge(v, u as VertexId);
+                    t.discovered += 1;
+                    t.frontier_degree += g.degree(u as VertexId) as u64;
+                    break;
                 }
-                next.set_owned(u);
-                seen.set_owned(u);
-                self.visitor.on_found(u as VertexId, step.depth);
-                self.visitor.on_tree_edge(v, u as VertexId);
-                t.discovered += 1;
-                t.frontier_degree += g.degree(u as VertexId) as u64;
-                false
-            });
+            }
         });
         one_source(t)
     }
@@ -528,16 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn frontier_modes_and_prefetch_distances_match() {
+    fn frontier_modes_match() {
         let g = gen::Kronecker::graph500(10).seed(22).generate();
         for mode in [FrontierMode::Flat, FrontierMode::Summary] {
-            for pd in [0usize, 4, 16] {
-                let opts = BfsOptions::default()
-                    .with_frontier_mode(mode)
-                    .with_prefetch_distance(pd);
-                check_bit(&g, 5, 4, &opts);
-                check_byte(&g, 5, 4, &opts);
-            }
+            let opts = BfsOptions::default().with_frontier_mode(mode);
+            check_bit(&g, 5, 4, &opts);
+            check_byte(&g, 5, 4, &opts);
         }
     }
 

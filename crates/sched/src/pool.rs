@@ -644,11 +644,12 @@ mod tests {
         let inner = WorkerPool::new(2);
         let hits = AtomicUsize::new(0);
         let once = std::sync::atomic::AtomicBool::new(false);
-        outer.parallel_for(2, 1, |w, _| {
-            // Only the caller thread may dispatch (spawned workers of
-            // `outer` would be marked for `outer`, which is fine, but the
-            // latch keeps the accounting exact under task stealing).
-            if w == 0 && !once.swap(true, Ordering::Relaxed) {
+        outer.parallel_for(2, 1, |_, _| {
+            // Whichever worker of `outer` runs a body first dispatches
+            // `inner`: the caller thread and spawned workers alike are
+            // marked for `outer` only. The latch keeps the accounting exact
+            // however the two ranges are stolen.
+            if !once.swap(true, Ordering::Relaxed) {
                 inner.parallel_for(8, 2, |_, r| {
                     hits.fetch_add(r.len(), Ordering::Relaxed);
                 });

@@ -141,12 +141,10 @@ fn option_matrix_is_correct() {
         for chunk_skip in [true, false] {
             for split in [64usize, 100, 256, 10_000] {
                 for mode in [FrontierMode::Flat, FrontierMode::Summary] {
-                    let pd = if mode == FrontierMode::Flat { 0 } else { 4 };
                     let mut opts = BfsOptions::default()
                         .with_policy(policy)
                         .with_split_size(split)
-                        .with_frontier_mode(mode)
-                        .with_prefetch_distance(pd);
+                        .with_frontier_mode(mode);
                     opts.chunk_skip = chunk_skip;
                     let mut bfs = SmsPbfsBit::new(g.num_vertices());
                     let v = DistanceVisitor::new(g.num_vertices());

@@ -333,7 +333,6 @@ proptest! {
         g in arb_graph(),
         sources_raw in proptest::collection::vec(0u32..80, 1..=64),
         workers in 1usize..5,
-        pd in 0usize..8,
     ) {
         // The summary bitmap is conservative ("may be active"); a missed
         // mark would shrink the visit set. Flat iteration is the ground
@@ -341,12 +340,8 @@ proptest! {
         // multi-source and single-source kernels alike.
         let n = g.num_vertices() as u32;
         let sources: Vec<u32> = sources_raw.iter().map(|&s| s % n).collect();
-        let flat = BfsOptions::default()
-            .with_frontier_mode(FrontierMode::Flat)
-            .with_prefetch_distance(0);
-        let summary = BfsOptions::default()
-            .with_frontier_mode(FrontierMode::Summary)
-            .with_prefetch_distance(pd);
+        let flat = BfsOptions::default().with_frontier_mode(FrontierMode::Flat);
+        let summary = BfsOptions::default().with_frontier_mode(FrontierMode::Summary);
         let pool = WorkerPool::new(workers);
 
         let mut a: MsPbfs<1> = MsPbfs::new(g.num_vertices());
