@@ -1,12 +1,10 @@
-//! `kernels` — Flat vs Summary frontier benchmark + atomic microbench.
+//! `kernels` — frontier-kernel benchmark + atomic microbench.
 //!
 //! ```text
 //! kernels [OPTIONS]
 //!
 //! OPTIONS:
 //!   --quick        CI sizes (scale 10, 3 trials)
-//!   --check        fail (exit 1) if Summary > 10% slower than Flat on
-//!                  the dense graph
 //!   --scale N      dense Kronecker scale        (default 12)
 //!   --workers N    worker pool size             (default 4)
 //!   --seed N       RNG seed                     (default 42)
@@ -20,13 +18,12 @@
 use std::process::ExitCode;
 
 use pbfs_bench::kernels::{
-    atomics_report, bench4_json, check_summary_regression, kernels_report, run_atomics,
-    run_kernels, KernelConfig,
+    atomics_report, bench4_json, kernels_report, run_atomics, run_kernels, KernelConfig,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: kernels [--quick] [--check] [--scale N] [--workers N] [--seed N] \
+        "usage: kernels [--quick] [--scale N] [--workers N] [--seed N] \
          [--trials N] [--out FILE] [--simd LEVEL]"
     );
     ExitCode::FAILURE
@@ -34,7 +31,6 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let mut cfg = KernelConfig::default();
-    let mut check = false;
     let mut out = String::from("BENCH_4.json");
 
     let mut args = std::env::args().skip(1);
@@ -48,7 +44,6 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--quick" => cfg = cfg.quick(),
-            "--check" => check = true,
             "--scale" => match take("--scale").and_then(|v| v.parse().ok()) {
                 Some(v) => cfg.scale = v,
                 None => return usage(),
@@ -118,18 +113,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("\nwrote {out}");
-
-    if check {
-        // The gate judges only the native-level rows; the scalar-forced
-        // comparison axis is informational.
-        let native = pbfs_bitset::simd::current().name();
-        match check_summary_regression(&kernels, native) {
-            Ok(msg) => println!("check ok: {msg}"),
-            Err(msg) => {
-                eprintln!("check FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }

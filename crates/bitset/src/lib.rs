@@ -21,8 +21,7 @@
 //!   [`SUMMARY_CHUNK`] vertices) embedded in the three atomic state types,
 //!   maintained by `fetch_or` on first activation, that lets frontier
 //!   scans skip inactive chunks in O(active / 4096) instead of O(V / 64)
-//!   word loads. Every parallel kernel scans through it unless asked for
-//!   the paper's flat scan; see [`summary`].
+//!   word loads. Every parallel kernel scans through it; see [`summary`].
 //! * [`prefetch`] — a safe software-prefetch shim (no-op off x86-64) used
 //!   by the MS-PBFS kernel to hide the CSR offset → adjacency →
 //!   destination-state pointer-chase latency.

@@ -169,12 +169,6 @@ impl<const W: usize> StateArray<W> {
         Bits::from_words(old)
     }
 
-    /// Clears entry `v` (caller must own `v`).
-    #[inline]
-    pub fn clear_entry(&self, v: usize) {
-        self.set(v, Bits::EMPTY);
-    }
-
     /// Clears every entry (single-threaded).
     pub fn clear_all(&self) {
         for w in self.words.iter() {
@@ -183,21 +177,9 @@ impl<const W: usize> StateArray<W> {
         self.summary.clear_all();
     }
 
-    /// Clears entries `start..end` (used for parallel, NUMA-local init).
-    ///
-    /// Summary bits are cleared conservatively: only chunks fully contained
-    /// in the range are unmarked, so boundary chunks shared with a
-    /// neighboring task stay (possibly falsely) marked.
-    pub fn clear_range(&self, start: usize, end: usize) {
-        let end = end.min(self.len);
-        for w in &self.words[start * W..end * W] {
-            w.store(0, Ordering::Relaxed);
-        }
-        self.summary.clear_entry_range(start, end);
-    }
-
-    /// Clears entries `start..end` with one vectorized bulk store — the
-    /// summary-guided variant the hot kernels use after consuming a range.
+    /// Clears entries `start..end` with one vectorized bulk store, as the
+    /// kernels do after consuming a range. Summary bits are cleared
+    /// conservatively: only chunks fully inside the range are unmarked.
     ///
     /// # Safety
     /// The caller must have exclusive access to entries `start..end`: no
@@ -321,7 +303,7 @@ mod tests {
         a.set(2, b);
         assert_eq!(a.get(2), b);
         assert_eq!(a.get(1), B128::EMPTY);
-        a.clear_entry(2);
+        a.set(2, B128::EMPTY);
         assert_eq!(a.get(2), B128::EMPTY);
     }
 
@@ -372,7 +354,8 @@ mod tests {
         }
         assert_eq!(a.count_nonempty(), 10);
         assert_eq!(a.total_ones(), 10);
-        a.clear_range(2, 7);
+        // SAFETY: single-threaded; nothing else touches `a`.
+        unsafe { a.clear_range_owned(2, 7) };
         assert_eq!(a.count_nonempty(), 5);
         a.clear_all();
         assert_eq!(a.count_nonempty(), 0);
@@ -471,7 +454,7 @@ mod tests {
         let a: StateArray<1> = StateArray::new(300);
         a.fetch_or(70, B64::single(0)); // chunk 1
         a.set(256, B64::single(3)); // chunk 4
-        a.clear_entry(256); // conservative: summary bit stays
+        a.set(256, B64::EMPTY); // conservative: summary bit stays
         let mut chunks = Vec::new();
         a.for_each_active_chunk(0, 300, |s, e| chunks.push((s, e)));
         assert_eq!(chunks, vec![(64, 128), (256, 300)]);
@@ -480,7 +463,7 @@ mod tests {
         a.or_assign_unsync(11, B64::EMPTY);
         let stats = a.for_each_active_chunk(0, 64, |_, _| panic!("chunk 0 clear"));
         assert_eq!(stats.chunks_scanned, 0);
-        a.clear_range(0, 300);
+        a.clear_all();
         let stats = a.for_each_active_chunk(0, 300, |_, _| panic!("all clear"));
         assert_eq!(stats.chunks_scanned, 0);
     }

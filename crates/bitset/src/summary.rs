@@ -10,7 +10,7 @@
 //!
 //! The summary is deliberately **conservative**: a set bit means "this
 //! chunk *may* contain active state", never the reverse. Per-entry clears
-//! (`clear_owned`, `clear_entry`) and range clears that only partially
+//! (`clear_owned`, an empty `set`) and range clears that only partially
 //! cover a chunk leave the bit set; the scan then loads the chunk, finds it
 //! empty and moves on. A missed *set* would lose BFS discoveries, so every
 //! mutating accessor of the owning structures marks the summary on the

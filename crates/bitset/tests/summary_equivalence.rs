@@ -131,7 +131,7 @@ proptest! {
     ) {
         // Same recycling property on StateArray, the engine's frontier and
         // scatter/gather contribution type: repeated fetch_or → summary
-        // scan → chunk-aligned clear_range cycles (the sharded engine's
+        // scan → chunk-aligned clear_range_owned cycles (the sharded engine's
         // per-batch contribution reuse) must not accumulate stale summary
         // bits across batches.
         let s: StateArray<1> = StateArray::new(len);
@@ -153,7 +153,8 @@ proptest! {
                 stats.skip_ratio() >= 1.0 - chunks.len() as f64 / total_chunks as f64 - 1e-9
             );
             for &c in &chunks {
-                s.clear_range(c * 64, ((c + 1) * 64).min(len));
+                // SAFETY: single-threaded; nothing else touches `s`.
+                unsafe { s.clear_range_owned(c * 64, ((c + 1) * 64).min(len)) };
             }
         }
         let stats = s.for_each_active_chunk(0, len, |_, _| panic!("stale chunk"));

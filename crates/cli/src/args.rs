@@ -13,19 +13,14 @@ usage:
         kinds: kronecker kg0 social web collab hub uniform watts-strogatz
   pbfs stats FILE [--text]
   pbfs bfs FILE --source N [--algo sms-bit|sms-byte|ms|beamer|textbook]
-        [--workers N] [--frontier flat|summary] [--validate] [--text]
-        --frontier selects how the kernels walk the frontier (default
-        summary: skip 64-vertex chunks the frontier summary marks
-        inactive; flat: the paper's linear scan) wherever a command
-        lists it
+        [--workers N] [--validate] [--text]
   pbfs centrality FILE --measure closeness|harmonic|betweenness [--top K]
-        [--workers N] [--frontier flat|summary] [--text]
+        [--workers N] [--text]
   pbfs relabel FILE --scheme striped|ordered|random [--workers N] [--seed N] [--text] -o FILE
   pbfs queries [FILE] [--scale N] [--queries N] [--threads N] [--workers N]
         [--shards N] [--max-batch N] [--max-latency-us N] [--rate QPS]
         [--seed N] [--text] [--max-queue N] [--query-timeout MS]
-        [--drain-timeout MS] [--frontier flat|summary] [--trace-out FILE]
-        [--mutations FILE]
+        [--drain-timeout MS] [--trace-out FILE] [--mutations FILE]
         replays a query trace through the batched engine; without FILE a
         Kronecker graph of --scale is generated; --threads sets the
         engine's workers (--workers is read when --threads is absent,
@@ -43,14 +38,12 @@ usage:
         are spread evenly across the replay and every query is answered
         from exactly one published epoch (snapshot isolation)
   pbfs metrics [FILE] [--scale N] [--queries N] [--threads N] [--workers N]
-        [--shards N] [--seed N] [--max-queue N] [--frontier flat|summary]
-        [--json] [--text]
+        [--shards N] [--seed N] [--max-queue N] [--json] [--text]
         runs a small replay and prints the telemetry registry as
         Prometheus text exposition (default) or JSON (--json); a tiny
         --max-queue forces Overloaded rejections into the export
   pbfs profile [FILE] [--scale N] [--seed N] [--source N] [--algo ms|sms-bit|sms-byte]
-        [--batch N] [--workers N] [--frontier flat|summary] [-o FILE]
-        [--folded-out FILE] [--text]
+        [--batch N] [--workers N] [-o FILE] [--folded-out FILE] [--text]
         runs one instrumented traversal and prints a phase-attributed
         profile (per-iteration expand/settle/bottom-up wall time, edges
         relaxed, summary-scan activity, modeled bytes touched); without
@@ -60,8 +53,7 @@ usage:
         as JSON and --folded-out writes flamegraph-compatible folded
         stacks
   pbfs top [FILE] [--scale N] [--queries N] [--threads N] [--workers N]
-        [--seed N] [--interval-ms N] [--ticks N] [--frontier flat|summary]
-        [--text]
+        [--seed N] [--interval-ms N] [--ticks N] [--text]
         drives a background query replay through the batched engine and
         prints a live dashboard line per tick (query/batch rates, queue
         depth, in-flight count, p50/p99 latency, trace-ring drops) read

@@ -10,7 +10,6 @@ use pbfs_core::beamer::{DirectionOptBfs, QueueKind};
 use pbfs_core::centrality::{betweenness_centrality_parallel, harmonic_centrality};
 use pbfs_core::engine::{EngineConfig, EngineError, QueryEngine};
 use pbfs_core::options::BfsOptions;
-use pbfs_core::policy::FrontierMode;
 use pbfs_core::smspbfs::{SmsPbfsBit, SmsPbfsByte};
 use pbfs_core::storage::{EdgeMutation, GraphStore};
 use pbfs_core::textbook;
@@ -87,33 +86,29 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "scale vertices degree seed text output",
     ),
     ("stats", stats, "text"),
-    ("bfs", bfs, "source algo workers frontier validate text"),
-    (
-        "centrality",
-        centrality,
-        "measure top workers frontier text",
-    ),
+    ("bfs", bfs, "source algo workers validate text"),
+    ("centrality", centrality, "measure top workers text"),
     ("relabel", relabel, "scheme workers seed text output"),
     (
         "queries",
         queries,
         "scale queries threads workers shards max-batch max-latency-us rate seed text \
-         max-queue query-timeout drain-timeout frontier trace-out mutations",
+         max-queue query-timeout drain-timeout trace-out mutations",
     ),
     (
         "metrics",
         metrics,
-        "scale queries threads workers shards seed max-queue frontier json text",
+        "scale queries threads workers shards seed max-queue json text",
     ),
     (
         "profile",
         profile,
-        "scale seed source algo batch workers frontier output folded-out text",
+        "scale seed source algo batch workers output folded-out text",
     ),
     (
         "top",
         top,
-        "scale queries threads workers seed interval-ms ticks frontier text",
+        "scale queries threads workers seed interval-ms ticks text",
     ),
     (
         "chaos",
@@ -150,18 +145,6 @@ fn save(args: &Args, g: &CsrGraph) -> Result<(), String> {
         g.num_edges()
     );
     Ok(())
-}
-
-/// Builds [`BfsOptions`] from the shared traversal knob `--frontier
-/// flat|summary`.
-fn bfs_options(args: &Args) -> Result<BfsOptions, String> {
-    let opts = BfsOptions::default();
-    let Some(s) = args.get("frontier") else {
-        return Ok(opts);
-    };
-    let mode = FrontierMode::parse(s)
-        .ok_or_else(|| format!("invalid value for --frontier: {s} (flat or summary)"))?;
-    Ok(opts.with_frontier_mode(mode))
 }
 
 fn workers(args: &Args) -> Result<usize, String> {
@@ -233,7 +216,7 @@ fn bfs(args: &Args) -> Result<(), String> {
     let w = workers(args)?;
     publish_configured_workers(w);
     let pool = WorkerPool::new(w);
-    let opts = bfs_options(args)?;
+    let opts = BfsOptions::default();
     let n = g.num_vertices();
     let dists = DistanceVisitor::new(n);
     let parents = ParentVisitor::new(n, source);
@@ -315,7 +298,7 @@ fn centrality(args: &Args) -> Result<(), String> {
     let w = workers(args)?;
     publish_configured_workers(w);
     let pool = WorkerPool::new(w);
-    let opts = bfs_options(args)?;
+    let opts = BfsOptions::default();
     let sources: Vec<u32> = (0..g.num_vertices() as u32).collect();
     let t0 = Instant::now();
     let values: Vec<f64> = match measure {
@@ -453,8 +436,7 @@ fn queries(args: &Args) -> Result<(), String> {
         .with_max_latency(Duration::from_micros(max_latency_us))
         .with_max_queue(max_queue)
         .with_query_timeout(nonzero_ms(query_timeout_ms))
-        .with_drain_timeout(nonzero_ms(drain_timeout_ms))
-        .with_bfs(bfs_options(args)?);
+        .with_drain_timeout(nonzero_ms(drain_timeout_ms));
     let mutations_file = args.get("mutations").map(str::to_owned);
     let mutation_ops = match &mutations_file {
         Some(path) => parse_mutation_script(path)?,
@@ -693,8 +675,7 @@ fn metrics(args: &Args) -> Result<(), String> {
     let cfg = EngineConfig::default()
         .with_workers(threads)
         .with_shards(shards)
-        .with_max_queue(max_queue)
-        .with_bfs(bfs_options(args)?);
+        .with_max_queue(max_queue);
     let mut engine = QueryEngine::from_graph(g, cfg);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut handles = Vec::with_capacity(num_queries);
@@ -761,7 +742,7 @@ fn profile(args: &Args) -> Result<(), String> {
     let w = workers(args)?;
     publish_configured_workers(w);
     let pool = WorkerPool::new(w);
-    let opts = bfs_options(args)?.instrumented();
+    let opts = BfsOptions::default().instrumented();
     // Byte-volume estimates use the graph's real edge factor, not the
     // Graph500 default, so `bytes_est` tracks the loaded dataset.
     let model = MemoryModel {
@@ -870,9 +851,7 @@ fn top(args: &Args) -> Result<(), String> {
     if n == 0 {
         return Err("graph has no vertices".into());
     }
-    let cfg = EngineConfig::default()
-        .with_workers(threads)
-        .with_bfs(bfs_options(args)?);
+    let cfg = EngineConfig::default().with_workers(threads);
     let engine = Arc::new(QueryEngine::from_graph(g, cfg));
     let stop = Arc::new(AtomicBool::new(false));
     let submitter = {
@@ -1147,20 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_frontier_mode_names_the_value_and_the_choices() {
-        let dir = scratch_dir("frontier");
-        let graph = dir.join("g.txt");
-        let graph = graph.display();
-        run(&format!(
-            "generate uniform --vertices 16 --degree 2 --text -o {graph}"
-        ))
-        .unwrap();
-        let err = run(&format!("bfs {graph} --text --source 0 --frontier auto")).unwrap_err();
-        assert_eq!(err, "invalid value for --frontier: auto (flat or summary)");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn simd_flag_accepts_auto_and_names_the_choices() {
         let dir = scratch_dir("simd");
         let graph = dir.join("g.txt");
@@ -1184,6 +1149,19 @@ mod tests {
     }
 
     #[test]
+    fn frontier_flag_is_rejected_on_every_command() {
+        // The kernels have one frontier scan, so no command takes a flag
+        // choosing it.
+        for command in ["bfs", "centrality", "queries", "metrics", "profile", "top"] {
+            let err = run(&format!("{command} missing.bin --frontier flat")).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown flag for `pbfs {command}`: --frontier")
+            );
+        }
+    }
+
+    #[test]
     fn bfs_and_queries_run_with_every_usage_flag() {
         let dir = scratch_dir("runs");
         let graph = dir.join("g.txt");
@@ -1198,14 +1176,14 @@ mod tests {
         ))
         .unwrap();
         run(&format!(
-            "bfs {graph} --text --source 0 --algo sms-bit --workers 1 --frontier flat \
+            "bfs {graph} --text --source 0 --algo sms-bit --workers 1 \
              --validate"
         ))
         .unwrap();
         run(&format!(
             "queries {graph} --text --scale 6 --queries 16 --threads 1 --shards 1 \
              --max-batch 64 --max-latency-us 500 --rate 0 --seed 3 --max-queue 64 \
-             --query-timeout 0 --drain-timeout 0 --frontier summary --trace-out {} \
+             --query-timeout 0 --drain-timeout 0 --trace-out {} \
              --mutations {}",
             trace.display(),
             script.display()

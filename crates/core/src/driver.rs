@@ -3,10 +3,10 @@
 //! MS-PBFS, SMS-PBFS and the sharded scatter/gather MS-BFS run the same
 //! loop (§3 of the paper; Buluç–Madduri's expand/fold loop for the sharded
 //! one): per level, pick a direction, run two barrier-separated top-down
-//! phases or one bottom-up phase with the traversal's frontier scan,
-//! recycle the buffers and record the level's statistics. [`run`] owns
-//! that loop. A [`Kernel`] supplies its state init and seeding and the
-//! phase bodies, which keep their hot per-vertex loops and SIMD level.
+//! phases or one bottom-up phase, recycle the buffers and record the
+//! level's statistics. [`run`] owns that loop. A [`Kernel`] supplies its
+//! state init and seeding and the phase bodies, which keep their hot
+//! per-vertex loops and SIMD level.
 //! The driver acts once per level and once per task range, never per
 //! vertex, and calls the bodies through generics, so they stay
 //! monomorphized.
@@ -22,7 +22,7 @@ use pbfs_sched::{RunStats, WorkerPool};
 use pbfs_telemetry::{EventKind, PerWorkerU64};
 
 use crate::options::BfsOptions;
-use crate::policy::{Direction, DirectionPolicy, FrontierMode, FrontierState};
+use crate::policy::{Direction, FrontierState};
 use crate::stats::{IterationStats, TraversalStats, WorkerIterStats};
 use crate::storage::Adjacency;
 
@@ -57,8 +57,6 @@ impl AddAssign for Tally {
 pub(crate) struct Step {
     /// Depth of the vertices this level discovers.
     pub depth: u32,
-    /// How the phase bodies walk the frontier, fixed per traversal.
-    pub scan: FrontierMode,
     /// SIMD dispatch level, resolved once per level: `#[target_feature]`
     /// kernels cannot inline through the per-call dispatch, so the lookup
     /// (and the chaos failpoint inside it) stays out of the hot loops.
@@ -86,46 +84,15 @@ pub(crate) trait Kernel: Sync {
     fn bottom_up(&self, step: &Step, r: Range<usize>) -> Tally;
     /// Makes `next` the frontier and the old frontier `next`.
     fn rotate(&mut self);
-    /// Clears `next` over `r`, or only its summary-active chunks.
-    fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats;
+    /// Clears the summary-active chunks of `next` over `r`.
+    fn clear_next(&self, r: Range<usize>) -> ScanStats;
 }
 
-/// How each level's direction is chosen, how the phases scan the
-/// frontier, and the task range size of every phase.
-pub(crate) struct Schedule {
-    split: usize,
-    scan: FrontierMode,
-    policy: DirectionPolicy,
-}
-
-impl Schedule {
-    /// Direction from `opts.policy`, scan from `opts.frontier_mode`. Task
-    /// ranges align to `ownership_align`, so `*_owned` state accesses never
-    /// share a storage unit, and to summary chunks under summary scans, so
-    /// range clears clear summary bits exactly.
-    pub fn new(opts: &BfsOptions, ownership_align: usize) -> Self {
-        let align = match opts.frontier_mode {
-            FrontierMode::Summary => ownership_align.max(SUMMARY_CHUNK),
-            FrontierMode::Flat => ownership_align,
-        };
-        let split = pbfs_sched::aligned_split(opts.split_size.max(1), align);
-        Self {
-            split,
-            scan: opts.frontier_mode,
-            policy: opts.policy,
-        }
-    }
-
-    /// Direction from `opts.policy`, summary scans, on ranges of exactly
-    /// `split`, so a partitioned kernel's task ranges never straddle two
-    /// partitions.
-    pub fn partitioned(opts: &BfsOptions, split: usize) -> Self {
-        Self {
-            split,
-            scan: FrontierMode::Summary,
-            policy: opts.policy,
-        }
-    }
+/// The task range size for `opts`. Ranges align to `ownership_align`, so
+/// `*_owned` state accesses never share a storage unit, and to summary
+/// chunks, so range clears clear summary bits exactly.
+pub(crate) fn aligned_split(opts: &BfsOptions, ownership_align: usize) -> usize {
+    pbfs_sched::aligned_split(opts.split_size.max(1), ownership_align.max(SUMMARY_CHUNK))
 }
 
 /// One level's phase runner and counters.
@@ -202,20 +169,16 @@ impl<'a> Level<'a> {
     }
 }
 
-/// Runs `k` level by level until its frontier empties or
+/// Runs `k` level by level on task ranges of `split` vertices, choosing
+/// each level's direction by `opts.policy`, until its frontier empties or
 /// `opts.max_iterations` levels have run.
 pub(crate) fn run<K: Kernel>(
     k: &mut K,
     pool: &WorkerPool,
     opts: &BfsOptions,
-    schedule: Schedule,
+    split: usize,
 ) -> TraversalStats {
     let start = Instant::now();
-    let Schedule {
-        split,
-        scan,
-        policy,
-    } = schedule;
     let g = k.graph();
     let (n, m) = (g.num_vertices(), g.num_directed_edges() as u64);
     let seed = k.init(pool, split);
@@ -238,7 +201,7 @@ pub(crate) fn run<K: Kernel>(
         }
         depth += 1;
         let prev_direction = direction;
-        direction = policy.decide(&FrontierState {
+        direction = opts.policy.decide(&FrontierState {
             frontier_vertices,
             frontier_degree,
             unexplored_degree,
@@ -250,7 +213,6 @@ pub(crate) fn run<K: Kernel>(
         let level = Level::new(pool, opts, split, frontier_vertices);
         let step = Step {
             depth,
-            scan,
             lvl: pbfs_bitset::simd::current(),
         };
         let kr = &*k;
@@ -266,14 +228,13 @@ pub(crate) fn run<K: Kernel>(
         };
 
         // Phase 2 cleared the old frontier after top-down; after bottom-up
-        // it was read throughout the pull loop and must be cleared before
-        // it serves as `next`, all of it after a flat scan, else only its
-        // summary-active chunks.
+        // it was read throughout the pull loop and its summary-active
+        // chunks must be cleared before it serves as `next`.
         k.rotate();
         if direction == Direction::BottomUp {
-            let (kr, active_only) = (&*k, scan == FrontierMode::Summary);
+            let kr = &*k;
             pool.parallel_for(n, split, |w, r| {
-                let s = kr.clear_next(r, active_only);
+                let s = kr.clear_next(r);
                 level.tally(w).scan.merge(s);
             });
         }

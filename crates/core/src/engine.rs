@@ -14,9 +14,8 @@
 //! * A flush deadline ([`EngineConfig::max_latency`]) bounds the time any
 //!   query waits for co-batched company; a flush that would run a single
 //!   query degenerates to [`SmsPbfsBit`], the
-//!   representation the paper shows is strictly better at width 1. Sharded
-//!   engines run that singleton on [`ShardedMsBfs<1>`](ShardedMsBfs)
-//!   instead, like every other width (see Sharding below).
+//!   representation the paper shows is strictly better at width 1, on
+//!   sharded engines too.
 //! * A flush whose work (queries × directed edges) is below
 //!   [`INLINE_FLUSH_WORK`] runs on the dispatcher thread alone: waking the
 //!   pool for every BFS phase costs more CPU than it saves on such flushes.
@@ -31,8 +30,8 @@
 //! With [`EngineConfig::shards`] > 1 the engine runs one complete
 //! dispatcher + queue + worker-pool stack per simulated socket:
 //! submissions are scattered round-robin over the shard queues, each shard
-//! coalesces and flushes its own batches, and batch traversals run the
-//! scatter/gather kernel ([`ShardedMsBfs`]) over a
+//! coalesces and flushes its own batches, and multi-source batch
+//! traversals run the scatter/gather kernel ([`ShardedMsBfs`]) over a
 //! [`PartitionedCsr`] whose adjacency segments mirror the shard topology.
 //! Admission ([`EngineConfig::max_queue`]) and panic isolation are
 //! per-shard: a poisoned shard fails only its own batches while the other
@@ -157,7 +156,7 @@ fn engine_metrics() -> &'static EngineMetrics {
             ),
             batch_width: r.histogram(
                 "pbfs_engine_batch_width",
-                "Chosen batch width per flush (1 = singleton flush: SMS-PBFS, or the scatter/gather kernel when sharded)",
+                "Chosen batch width per flush (1 = singleton flush: SMS-PBFS)",
                 &[1, 64, 128, 256, 512],
             ),
             // 1 µs .. ~4.2 s in powers of four.
@@ -483,9 +482,8 @@ pub struct EngineStats {
     /// Batches flushed, including singleton flushes.
     pub batches: u64,
     /// `width → batches flushed at that width`. Width 1 is the singleton
-    /// path: [`SmsPbfsBit`] on an unsharded engine, [`ShardedMsBfs`] at
-    /// `W = 1` on a sharded one. The remaining keys are the chosen
-    /// [`BATCH_WIDTHS`].
+    /// path, [`SmsPbfsBit`] on every engine. The remaining keys are the
+    /// chosen [`BATCH_WIDTHS`].
     pub width_histogram: BTreeMap<usize, u64>,
     /// Median submit→result latency in nanoseconds; 0 until the first
     /// query completes (the underlying histogram reports no quantiles
@@ -1128,18 +1126,9 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
             // Every arm is dispatched twice: clean epochs run the plain
             // CSR/partition monomorphization (byte-for-byte the
             // pre-storage hot path), dirty epochs the delta-overlay one.
-            if let Some(sv) = snap.sharded_view() {
-                // Sharded engine: every width — including the singleton —
-                // runs the scatter/gather kernel over the partitioned CSR,
-                // so results are bit-identical across shard counts by one
-                // determinism argument (see `crate::sharded`).
-                if snap.has_deltas() {
-                    states.run_sharded(n, &sv, width, kernel_pool, &sources, &opts)
-                } else {
-                    let part: &PartitionedCsr = snap.part().expect("sharded view implies mirror");
-                    states.run_sharded(n, part, width, kernel_pool, &sources, &opts)
-                }
-            } else if width == 1 {
+            if width == 1 {
+                // Every engine, sharded or not, runs a singleton on
+                // SMS-PBFS over the pinned snapshot.
                 let bfs = states.sms.get_or_insert_with(|| SmsPbfsBit::new(n));
                 let visitor = DistanceVisitor::new(n);
                 let stats = if snap.has_deltas() {
@@ -1148,6 +1137,17 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
                     bfs.run(&**snap.base(), kernel_pool, sources[0], &opts, &visitor)
                 };
                 (stats, vec![visitor.into_distances()])
+            } else if let Some(sv) = snap.sharded_view() {
+                // Sharded engine: every multi-source width runs the
+                // scatter/gather kernel over the partitioned CSR, so
+                // results are bit-identical across shard counts by one
+                // determinism argument (see `crate::sharded`).
+                if snap.has_deltas() {
+                    states.run_sharded(n, &sv, width, kernel_pool, &sources, &opts)
+                } else {
+                    let part: &PartitionedCsr = snap.part().expect("sharded view implies mirror");
+                    states.run_sharded(n, part, width, kernel_pool, &sources, &opts)
+                }
             } else if snap.has_deltas() {
                 states.run_ms(n, &snap, width, kernel_pool, &sources, &opts)
             } else {
@@ -1275,8 +1275,8 @@ impl KernelStates {
         }
     }
 
-    /// Runs one batch through the scatter/gather kernel; also serves
-    /// singleton flushes (`W = 1`, one source).
+    /// Runs one multi-source batch through the scatter/gather kernel,
+    /// selecting the compile-time width slot covering `width`.
     fn run_sharded<P: ShardedAdjacency + ?Sized>(
         &mut self,
         n: usize,
@@ -1287,7 +1287,7 @@ impl KernelStates {
         opts: &BfsOptions,
     ) -> (TraversalStats, Vec<Vec<u32>>) {
         match width {
-            1 | 64 => run_sharded(&mut self.sh1, n, part, pool, sources, opts),
+            64 => run_sharded(&mut self.sh1, n, part, pool, sources, opts),
             128 => run_sharded(&mut self.sh2, n, part, pool, sources, opts),
             256 => run_sharded(&mut self.sh4, n, part, pool, sources, opts),
             _ => run_sharded(&mut self.sh8, n, part, pool, sources, opts),

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::msbfs::MsBfs;
     pub use crate::mspbfs::MsPbfs;
     pub use crate::options::{AtomicKind, BfsOptions};
-    pub use crate::policy::{Direction, DirectionPolicy, FrontierMode};
+    pub use crate::policy::{Direction, DirectionPolicy};
     pub use crate::sharded::ShardedMsBfs;
     pub use crate::smspbfs::{SmsPbfsBit, SmsPbfsByte};
     pub use crate::stats::{IterationStats, TraversalStats};

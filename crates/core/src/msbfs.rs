@@ -94,10 +94,11 @@ impl<const W: usize> MsBfs<W> {
             self.frontier[s as usize] |= bit;
             visitor.on_found(s, 0, bit);
         }
-        for &s in sources {
-            if self.seen[s as usize] == full {
-                unexplored_degree = unexplored_degree.saturating_sub(g.degree(s) as u64);
-            }
+        // Bit `i` is set only at `sources[i]`, so a fully seen source means
+        // every source is that one vertex: its degree counts once.
+        let s = sources[0];
+        if self.seen[s as usize] == full {
+            unexplored_degree = unexplored_degree.saturating_sub(g.degree(s) as u64);
         }
 
         let mut stats = TraversalStats {

@@ -12,8 +12,8 @@
 //! * **Bottom-up** (Listing 2): same bijective argument, zero
 //!   synchronization, with the early-exit once no more bits can be gained.
 //!
-//! The level loop around these phases (direction and scan choice, phase
-//! timing, statistics) is the traversal driver shared with SMS-PBFS and
+//! The level loop around these phases (direction choice, phase timing,
+//! statistics) is the traversal driver shared with SMS-PBFS and
 //! the sharded kernel; this module supplies the state and the phase bodies.
 
 use std::ops::Range;
@@ -23,9 +23,8 @@ use pbfs_bitset::{Bits, ScanStats, StateArray, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 
-use crate::driver::{self, Kernel, Schedule, Step, Tally};
+use crate::driver::{self, Kernel, Step, Tally};
 use crate::options::{AtomicKind, BfsOptions};
-use crate::policy::FrontierMode;
 use crate::stats::TraversalStats;
 use crate::visitor::MsVisitor;
 
@@ -95,7 +94,7 @@ impl<const W: usize> MsPbfs<W> {
             visitor,
             [&self.seen, &self.frontier, &self.next],
         );
-        driver::run(&mut batch, pool, opts, Schedule::new(opts, 1))
+        driver::run(&mut batch, pool, opts, driver::aligned_split(opts, 1))
     }
 }
 
@@ -138,11 +137,11 @@ pub(crate) fn seed_sources<G: Adjacency + ?Sized, const W: usize>(
         frontier.or_assign_unsync(v as usize, bit);
         visitor.on_found(v, 0, bit);
     }
-    let full = Bits::<W>::first_n(sources.len());
-    for &v in sources {
-        if seen.get(v as usize) == full {
-            t.fully_seen_degree += g.degree(v) as u64;
-        }
+    // Bit `i` is set only at `sources[i]`, so a fully seen source means
+    // every source is that one vertex: its degree counts once.
+    let v = sources[0];
+    if seen.get(v as usize) == Bits::first_n(sources.len()) {
+        t.fully_seen_degree = g.degree(v) as u64;
     }
     t
 }
@@ -254,75 +253,55 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
     fn expand(&self, step: &Step, r: Range<usize>) -> Tally {
         let (g, frontier) = (self.g, self.frontier);
         let mut t = Tally::default();
-        match step.scan {
-            FrontierMode::Flat => {
-                for v in r {
-                    let f = frontier.get(v);
-                    if !f.is_empty() {
-                        t.visited += self.expand_vertex(v, f);
-                    }
-                }
+        t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
+            // Gather the chunk's active vertices so the CSR pointer chase
+            // can be pipelined. One vectorized mask pass finds them
+            // instead of W word loads per entry.
+            // SAFETY: phase 1 only reads `frontier` (all writes go to
+            // `next`), so no writer races the non-atomic scan.
+            let mut mask = unsafe { frontier.nonempty_mask_at(step.lvl, cs, ce) };
+            let mut vbuf = [0u32; SUMMARY_CHUNK];
+            let mut fbuf = [Bits::<W>::EMPTY; SUMMARY_CHUNK];
+            let mut cnt = 0usize;
+            while mask != 0 {
+                let v = cs + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                vbuf[cnt] = v as u32;
+                fbuf[cnt] = frontier.get(v);
+                cnt += 1;
             }
-            FrontierMode::Summary => {
-                t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                    // Gather the chunk's active vertices so the CSR pointer
-                    // chase can be pipelined. One vectorized mask pass
-                    // finds them instead of W word loads per entry.
-                    // SAFETY: phase 1 only reads `frontier` (all writes go
-                    // to `next`), so no writer races the non-atomic scan.
-                    let mut mask = unsafe { frontier.nonempty_mask_at(step.lvl, cs, ce) };
-                    let mut vbuf = [0u32; SUMMARY_CHUNK];
-                    let mut fbuf = [Bits::<W>::EMPTY; SUMMARY_CHUNK];
-                    let mut cnt = 0usize;
-                    while mask != 0 {
-                        let v = cs + mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        vbuf[cnt] = v as u32;
-                        fbuf[cnt] = frontier.get(v);
-                        cnt += 1;
-                    }
-                    pipelined(g, &vbuf[..cnt], |i| {
-                        t.visited += self.expand_vertex(vbuf[i] as usize, fbuf[i])
-                    });
-                });
-            }
-        }
+            pipelined(g, &vbuf[..cnt], |i| {
+                t.visited += self.expand_vertex(vbuf[i] as usize, fbuf[i])
+            });
+        });
         t
     }
 
     /// Phase 2: conflict-free discovery + frontier clearing.
     fn settle(&self, step: &Step, r: Range<usize>) -> Tally {
         let (frontier, next, lvl) = (self.frontier, self.next, step.lvl);
-        let mut t = Tally::default();
-        match step.scan {
-            FrontierMode::Flat => {
-                for v in r {
-                    frontier.clear_entry(v);
-                    self.settle_vertex(&mut t, step, v);
-                }
+        // Nothing reads `frontier` this phase: clear only its active
+        // chunks (ranges are chunk-aligned, so summary bits clear
+        // exactly). One mask pass per active chunk of `next` then finds
+        // the non-empty entries.
+        // SAFETY: phase-2 ranges are bijectively owned, so this worker has
+        // these chunks of `frontier` and `next` to itself until the
+        // barrier.
+        let mut t = Tally {
+            scan: frontier.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
+                frontier.clear_range_owned(cs, ce)
+            }),
+            ..Tally::default()
+        };
+        let s = next.for_each_active_chunk(r.start, r.end, |cs, ce| {
+            let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
+            while mask != 0 {
+                let v = cs + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                self.settle_vertex(&mut t, step, v);
             }
-            FrontierMode::Summary => {
-                // Nothing reads `frontier` this phase: clear only its
-                // active chunks (ranges are chunk-aligned, so summary bits
-                // clear exactly). One mask pass per active chunk of `next`
-                // then finds the non-empty entries.
-                // SAFETY: phase-2 ranges are bijectively owned, so this
-                // worker has these chunks of `frontier` and `next` to
-                // itself until the barrier.
-                t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
-                    frontier.clear_range_owned(cs, ce)
-                });
-                let s = next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                    let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
-                    while mask != 0 {
-                        let v = cs + mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        self.settle_vertex(&mut t, step, v);
-                    }
-                });
-                t.scan.merge(s);
-            }
-        }
+        });
+        t.scan.merge(s);
         t
     }
 
@@ -357,12 +336,8 @@ impl<G: Adjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel for Batch<'_
         std::mem::swap(&mut self.frontier, &mut self.next);
     }
 
-    fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats {
+    fn clear_next(&self, r: Range<usize>) -> ScanStats {
         let next = self.next;
-        if !active_only {
-            next.clear_range(r.start, r.end);
-            return ScanStats::default();
-        }
         // SAFETY: the driver's clear ranges are disjoint and nothing else
         // touches `next` then, so each worker owns its chunks outright.
         next.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
@@ -489,16 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_modes_match() {
-        let g = gen::Kronecker::graph500(10).seed(21).generate();
-        let sources: Vec<u32> = (0..48).map(|i| i * 11 % 1024).collect();
-        for mode in [FrontierMode::Flat, FrontierMode::Summary] {
-            let opts = BfsOptions::default().with_frontier_mode(mode);
-            check_batch::<1>(&g, &sources, 4, &opts);
-        }
-    }
-
-    #[test]
     fn summary_mode_reports_skips_on_sparse_frontiers() {
         // A long path keeps the frontier at one vertex per iteration: the
         // summary must skip almost every chunk.
@@ -509,9 +474,7 @@ mod tests {
             &g,
             &pool,
             &[0],
-            &BfsOptions::default()
-                .with_policy(DirectionPolicy::AlwaysTopDown)
-                .with_frontier_mode(FrontierMode::Summary),
+            &BfsOptions::default().with_policy(DirectionPolicy::AlwaysTopDown),
             &crate::visitor::NoopMsVisitor,
         );
         assert!(stats.summary_chunks_skipped > 0, "no skips recorded");
@@ -520,18 +483,6 @@ mod tests {
             "ratio {}",
             stats.summary_skip_ratio()
         );
-
-        let flat = bfs.run(
-            &g,
-            &pool,
-            &[0],
-            &BfsOptions::default()
-                .with_policy(DirectionPolicy::AlwaysTopDown)
-                .with_frontier_mode(FrontierMode::Flat),
-            &crate::visitor::NoopMsVisitor,
-        );
-        assert_eq!(flat.summary_chunks_skipped + flat.summary_chunks_scanned, 0);
-        assert_eq!(flat.summary_skip_ratio(), 0.0);
     }
 
     #[test]

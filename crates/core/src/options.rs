@@ -1,6 +1,6 @@
 //! Tuning knobs shared by all BFS implementations.
 
-use crate::policy::{DirectionPolicy, FrontierMode};
+use crate::policy::DirectionPolicy;
 
 /// How the first top-down phase merges frontiers into `next`.
 ///
@@ -32,9 +32,6 @@ pub struct BfsOptions {
     /// Bottom-up early exit once no further bits can be gained
     /// (Section 3.1.2). Disable only for the ablation bench.
     pub early_exit: bool,
-    /// How the kernels iterate the frontier arrays: summary-guided chunk
-    /// skipping, or the paper's linear scan.
-    pub frontier_mode: FrontierMode,
     /// Collect per-iteration, per-worker statistics. Costs one `Instant`
     /// read per task; leave off in throughput measurements.
     pub instrument: bool,
@@ -55,7 +52,6 @@ impl Default for BfsOptions {
             atomic: AtomicKind::FetchOr,
             chunk_skip: true,
             early_exit: true,
-            frontier_mode: FrontierMode::default(),
             instrument: false,
             query_set: 0,
             max_iterations: None,
@@ -82,12 +78,6 @@ impl BfsOptions {
         self
     }
 
-    /// Returns a copy with the given frontier iteration mode.
-    pub fn with_frontier_mode(mut self, mode: FrontierMode) -> Self {
-        self.frontier_mode = mode;
-        self
-    }
-
     /// Returns a copy attributed to the given query-set id (0 clears).
     pub fn with_query_set(mut self, query_set: u64) -> Self {
         self.query_set = query_set;
@@ -106,7 +96,6 @@ mod tests {
         assert_eq!(o.atomic, AtomicKind::FetchOr);
         assert!(o.chunk_skip);
         assert!(o.early_exit);
-        assert_eq!(o.frontier_mode, FrontierMode::Summary);
         assert!(!o.instrument);
         assert_eq!(o.query_set, 0);
         assert!(o.max_iterations.is_none());
@@ -114,12 +103,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let o = BfsOptions::default()
-            .instrumented()
-            .with_split_size(64)
-            .with_frontier_mode(FrontierMode::Flat);
+        let o = BfsOptions::default().instrumented().with_split_size(64);
         assert!(o.instrument);
         assert_eq!(o.split_size, 64);
-        assert_eq!(o.frontier_mode, FrontierMode::Flat);
     }
 }

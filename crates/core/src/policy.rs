@@ -27,43 +27,6 @@ impl pbfs_json::ToJson for Direction {
     }
 }
 
-/// How the traversal kernels walk the frontier arrays.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FrontierMode {
-    /// Linear scan over the full vertex range: the paper's kernels, kept
-    /// as the reference the summary scan is checked and benchmarked
-    /// against.
-    Flat,
-    /// Skip inactive [`pbfs_bitset::SUMMARY_CHUNK`]-vertex chunks via the
-    /// second-level frontier summary — O(active/4096) word loads instead
-    /// of O(V/64) on sparse frontiers (default).
-    #[default]
-    Summary,
-}
-
-impl FrontierMode {
-    /// Parses the CLI spelling (`flat` / `summary`, case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "flat" => Some(FrontierMode::Flat),
-            "summary" => Some(FrontierMode::Summary),
-            _ => None,
-        }
-    }
-}
-
-impl pbfs_json::ToJson for FrontierMode {
-    fn to_json(&self) -> pbfs_json::Json {
-        pbfs_json::Json::Str(
-            match self {
-                FrontierMode::Flat => "Flat",
-                FrontierMode::Summary => "Summary",
-            }
-            .to_string(),
-        )
-    }
-}
-
 /// Inputs to the per-iteration direction decision.
 #[derive(Clone, Copy, Debug)]
 pub struct FrontierState {
@@ -144,15 +107,6 @@ mod tests {
             total_vertices: 1_000,
             current,
         }
-    }
-
-    #[test]
-    fn frontier_mode_parse() {
-        assert_eq!(FrontierMode::parse("flat"), Some(FrontierMode::Flat));
-        assert_eq!(FrontierMode::parse("Summary"), Some(FrontierMode::Summary));
-        assert_eq!(FrontierMode::parse("auto"), None);
-        assert_eq!(FrontierMode::parse("bogus"), None);
-        assert_eq!(FrontierMode::default(), FrontierMode::Summary);
     }
 
     #[test]

@@ -116,7 +116,6 @@ mod tests {
     use super::*;
     use crate::mspbfs::MsPbfs;
     use crate::options::BfsOptions;
-    use crate::policy::FrontierMode;
     use crate::visitor::NoopMsVisitor;
     use pbfs_graph::gen;
     use pbfs_sched::WorkerPool;
@@ -131,9 +130,7 @@ mod tests {
             &g,
             &pool,
             &sources,
-            &BfsOptions::default()
-                .instrumented()
-                .with_frontier_mode(FrontierMode::Summary),
+            &BfsOptions::default().instrumented(),
             &NoopMsVisitor,
         );
         let model = MemoryModel::graph500(g.num_vertices());

@@ -57,7 +57,7 @@ use pbfs_bitset::{ScanStats, StateArray, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 
-use crate::driver::{self, Kernel, Schedule, Step, Tally};
+use crate::driver::{self, Kernel, Step, Tally};
 use crate::mspbfs::Batch;
 use crate::options::BfsOptions;
 use crate::stats::TraversalStats;
@@ -164,8 +164,7 @@ impl<const W: usize> ShardedMsBfs<W> {
         // invariant making every scatter range single-partition. The engine
         // builds the partition with a chunk-aligned split; an unaligned one
         // merely makes range clears conservative, never incorrect.
-        let schedule = Schedule::partitioned(opts, part.split_size());
-        driver::run(&mut exchange, pool, opts, schedule)
+        driver::run(&mut exchange, pool, opts, part.split_size())
     }
 }
 
@@ -299,8 +298,8 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
         self.ms.rotate();
     }
 
-    fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats {
-        self.ms.clear_next(r, active_only)
+    fn clear_next(&self, r: Range<usize>) -> ScanStats {
+        self.ms.clear_next(r)
     }
 }
 

@@ -25,9 +25,8 @@ use pbfs_bitset::{AtomicBitVec, AtomicByteVec, ScanStats};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 
-use crate::driver::{self, Kernel, Schedule, Step, Tally};
+use crate::driver::{self, Kernel, Step, Tally};
 use crate::options::BfsOptions;
-use crate::policy::FrontierMode;
 use crate::stats::TraversalStats;
 use crate::visitor::SsVisitor;
 
@@ -287,7 +286,7 @@ impl<S: SsState> SmsPbfs<S> {
         let n = g.num_vertices();
         assert_eq!(self.seen.len(), n, "state sized for a different graph");
         assert!((source as usize) < n, "source out of range");
-        let schedule = Schedule::new(opts, S::OWNERSHIP_ALIGN);
+        let split = driver::aligned_split(opts, S::OWNERSHIP_ALIGN);
         let mut single = Single {
             g,
             source,
@@ -297,7 +296,7 @@ impl<S: SsState> SmsPbfs<S> {
             frontier: &self.frontier,
             next: &self.next,
         };
-        driver::run(&mut single, pool, opts, schedule)
+        driver::run(&mut single, pool, opts, split)
     }
 }
 
@@ -340,7 +339,7 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
 
     /// Listing 3 lines 1–5: push to next, then clear the owned frontier
     /// range for buffer reuse.
-    fn expand(&self, step: &Step, r: Range<usize>) -> Tally {
+    fn expand(&self, _: &Step, r: Range<usize>) -> Tally {
         let (g, frontier, next) = (self.g, self.frontier, self.next);
         let chunk = self.opts.chunk_skip;
         let mut t = Tally::default();
@@ -352,20 +351,12 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
                 }
             }
         };
-        match step.scan {
-            FrontierMode::Flat => {
-                frontier.for_each_set(r.start, r.end, chunk, &mut expand);
-                frontier.clear_range(r.start, r.end);
-            }
-            FrontierMode::Summary => {
-                t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                    frontier.for_each_set(cs, ce, chunk, &mut expand);
-                    // Nothing reads this chunk again: clear it (and its
-                    // summary bit — chunks are clear-exact here).
-                    frontier.clear_range(cs, ce);
-                });
-            }
-        }
+        t.scan = frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
+            frontier.for_each_set(cs, ce, chunk, &mut expand);
+            // Nothing reads this chunk again: clear it (and its summary
+            // bit — chunks are clear-exact here).
+            frontier.clear_range(cs, ce);
+        });
         t
     }
 
@@ -379,14 +370,9 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
             t.discovered += 1;
             t.frontier_degree += g.degree(v as VertexId) as u64;
         };
-        match step.scan {
-            FrontierMode::Flat => next.settle_into(seen, r.start, r.end, chunk, &mut found),
-            FrontierMode::Summary => {
-                t.scan = next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                    next.settle_into(seen, cs, ce, chunk, &mut found);
-                });
-            }
-        }
+        t.scan = next.for_each_active_chunk(r.start, r.end, |cs, ce| {
+            next.settle_into(seen, cs, ce, chunk, &mut found);
+        });
         one_source(t)
     }
 
@@ -415,12 +401,8 @@ impl<G: Adjacency + ?Sized, V: SsVisitor, S: SsState> Kernel for Single<'_, G, V
         std::mem::swap(&mut self.frontier, &mut self.next);
     }
 
-    fn clear_next(&self, r: Range<usize>, active_only: bool) -> ScanStats {
+    fn clear_next(&self, r: Range<usize>) -> ScanStats {
         let next = self.next;
-        if !active_only {
-            next.clear_range(r.start, r.end);
-            return ScanStats::default();
-        }
         next.for_each_active_chunk(r.start, r.end, |cs, ce| next.clear_range(cs, ce))
     }
 }
@@ -503,22 +485,10 @@ mod tests {
     }
 
     #[test]
-    fn frontier_modes_match() {
-        let g = gen::Kronecker::graph500(10).seed(22).generate();
-        for mode in [FrontierMode::Flat, FrontierMode::Summary] {
-            let opts = BfsOptions::default().with_frontier_mode(mode);
-            check_bit(&g, 5, 4, &opts);
-            check_byte(&g, 5, 4, &opts);
-        }
-    }
-
-    #[test]
     fn summary_mode_reports_skips_on_sparse_frontiers() {
         let g = gen::path(10_000);
         let pool = WorkerPool::new(2);
-        let opts = BfsOptions::default()
-            .with_policy(DirectionPolicy::AlwaysTopDown)
-            .with_frontier_mode(FrontierMode::Summary);
+        let opts = BfsOptions::default().with_policy(DirectionPolicy::AlwaysTopDown);
         let mut bit = SmsPbfsBit::new(g.num_vertices());
         let stats = bit.run(&g, &pool, 0, &opts, &NoopVisitor);
         assert!(stats.summary_chunks_skipped > 0);

@@ -41,9 +41,10 @@ pub struct IterationStats {
     /// States newly discovered in this iteration (bits for multi-source).
     pub discovered: u64,
     /// Summary chunks scanned by this iteration's frontier scans and
-    /// bottom-up clears (0 under the flat scan).
+    /// bottom-up clears (0 for the sequential kernels).
     pub chunks_scanned: u64,
-    /// Summary chunks skipped by the same scans (0 under the flat scan).
+    /// Summary chunks skipped by the same scans (0 for the sequential
+    /// kernels).
     pub chunks_skipped: u64,
     /// Per-worker breakdown (empty when instrumentation is off).
     pub per_worker: Vec<WorkerIterStats>,
@@ -99,8 +100,8 @@ pub struct TraversalStats {
     /// Total states discovered (= reached vertices; for multi-source the
     /// sum over all concurrent BFSs, sources included).
     pub total_discovered: u64,
-    /// Summary chunks skipped without loading their state words (0 under
-    /// the flat scan, the one frontier mode that reads no summary).
+    /// Summary chunks skipped without loading their state words (0 for the
+    /// sequential kernels, which read no summary).
     pub summary_chunks_skipped: u64,
     /// Summary chunks scanned because their summary bit was set.
     pub summary_chunks_scanned: u64,
@@ -138,7 +139,7 @@ impl TraversalStats {
     }
 
     /// Fraction of summary chunks skipped during summary-guided frontier
-    /// scans (0.0 when nothing was scanned, e.g. in `FrontierMode::Flat`).
+    /// scans (0.0 when nothing was scanned, e.g. by the sequential kernels).
     pub fn summary_skip_ratio(&self) -> f64 {
         let total = self.summary_chunks_skipped + self.summary_chunks_scanned;
         if total == 0 {

@@ -27,7 +27,7 @@ The default 10% threshold suits a quiet machine doing a deliberate A/B
 comparison. CI on shared runners should pass a threshold above its
 measured run-to-run noise floor (see .github/workflows/ci.yml).
 
-Rows are keyed on (graph, algo, width, mode, simd), so the kernels
+Rows are keyed on (graph, algo, width, simd), so the kernels
 bench's scalar-forced comparison rows form their own series and never
 join against native-level rows. Runs whose configs record *different*
 SIMD dispatch levels are refused outright unless --allow-isa-mismatch
@@ -53,8 +53,7 @@ def key(row):
     ``simd`` defaults to "auto" for documents predating the dispatch-level
     axis, so old baselines keep joining against new runs.
     """
-    return (row["graph"], row["algo"], row["width"], row["mode"],
-            row.get("simd", "auto"))
+    return (row["graph"], row["algo"], row["width"], row.get("simd", "auto"))
 
 
 def metric(row, field, path):
@@ -69,7 +68,7 @@ def metric(row, field, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)) \
             or math.isnan(v) or v <= 0:
         sys.exit(f"error: {path}: row {row.get('graph')}/{row.get('algo')}"
-                 f"/w{row.get('width')}/{row.get('mode')}: {field} is {v!r}; "
+                 f"/w{row.get('width')}: {field} is {v!r}; "
                  "need a positive number (truncated or corrupt bench run?)")
     return float(v)
 
@@ -140,10 +139,10 @@ def compare_runs(base, cur, args, base_name="baseline", cur_name="current"):
     cross_isa = check_isa(base, cur, args, base_name, cur_name)
     if cross_isa:
         # Allowed cross-ISA diff: the per-row simd labels differ by
-        # construction, so join on (graph, algo, width, mode) alone and
-        # show "*" in the simd column.
+        # construction, so join on (graph, algo, width) alone and show
+        # "*" in the simd column.
         def keyfn(r):
-            return key(r)[:4] + ("*",)
+            return key(r)[:3] + ("*",)
     else:
         keyfn = key
     base_rows = {keyfn(r): r for r in base["kernels"]}
@@ -166,8 +165,7 @@ def compare_runs(base, cur, args, base_name="baseline", cur_name="current"):
         base_med = cur_med = base_min = cur_min = 1.0
         print("matching configs: direct ns/edge comparison")
 
-    header = (f"{'graph':<15} {'algo':<9} {'width':>5} {'mode':<8} "
-              f"{'simd':<7} "
+    header = (f"{'graph':<15} {'algo':<9} {'width':>5} {'simd':<7} "
               f"{'base ns/e':>10} {'cur ns/e':>10} {'median':>8} {'min':>8}"
               "  verdict")
     print()
@@ -177,14 +175,14 @@ def compare_runs(base, cur, args, base_name="baseline", cur_name="current"):
     regressions = []
     improvements = 0
     for k in sorted(base_rows):
-        graph, algo, width, mode, simd = k
+        graph, algo, width, simd = k
         b = base_rows[k]
         c = cur_rows.get(k)
         if c is None:
-            print(f"{graph:<15} {algo:<9} {width:>5} {mode:<8} {simd:<7} "
+            print(f"{graph:<15} {algo:<9} {width:>5} {simd:<7} "
                   f"{b['median_ns_per_edge']:>10.3f} {'—':>10} {'—':>8} "
                   f"{'—':>8}  MISSING in current run")
-            regressions.append(f"{graph}/{algo}/w{width}/{mode}/{simd}: "
+            regressions.append(f"{graph}/{algo}/w{width}/{simd}: "
                                "missing from current run")
             continue
         d_med = ((metric(c, "median_ns_per_edge", cur_name) / cur_med)
@@ -197,23 +195,23 @@ def compare_runs(base, cur, args, base_name="baseline", cur_name="current"):
         joint = min(d_med, d_min)
         if joint > args.threshold:
             verdict = f"REGRESSION (> {args.threshold:.0f}%)"
-            regressions.append(f"{graph}/{algo}/w{width}/{mode}/{simd}: "
+            regressions.append(f"{graph}/{algo}/w{width}/{simd}: "
                                f"median {d_med:+.1f}%, min {d_min:+.1f}%")
         elif max(d_med, d_min) < -args.threshold:
             verdict = "improved"
             improvements += 1
         else:
             verdict = "ok"
-        print(f"{graph:<15} {algo:<9} {width:>5} {mode:<8} {simd:<7} "
+        print(f"{graph:<15} {algo:<9} {width:>5} {simd:<7} "
               f"{b['median_ns_per_edge']:>10.3f} "
               f"{c['median_ns_per_edge']:>10.3f} {d_med:>+7.1f}% "
               f"{d_min:>+7.1f}%  {verdict}")
 
     new = sorted(set(cur_rows) - set(base_rows))
     for k in new:
-        graph, algo, width, mode, simd = k
+        graph, algo, width, simd = k
         c = cur_rows[k]
-        print(f"{graph:<15} {algo:<9} {width:>5} {mode:<8} {simd:<7} "
+        print(f"{graph:<15} {algo:<9} {width:>5} {simd:<7} "
               f"{'—':>10} "
               f"{c['median_ns_per_edge']:>10.3f} {'—':>8} {'—':>8}  "
               "new (no baseline)")
@@ -223,7 +221,7 @@ def compare_runs(base, cur, args, base_name="baseline", cur_name="current"):
     for r in cur.get("atomics", []):
         b = base_atomics.get(r["kind"])
         if b:
-            print(f"{'atomics':<15} {r['kind']:<9} {'':>5} {'':<8} {'':<7} "
+            print(f"{'atomics':<15} {r['kind']:<9} {'':>5} {'':<7} "
                   f"{b:>10.3f} {r['ns_per_op']:>10.3f} "
                   f"{(r['ns_per_op'] / b - 1) * 100:>+7.1f}% {'':>8}  "
                   "informational")
@@ -243,9 +241,9 @@ def make_doc(medians, factor=1.0, config=None, simd="auto"):
     (simulated machine-speed drift); ``simd`` labels rows lacking one."""
     rows = []
     for k, v in medians.items():
-        g, a, w, m = k[:4]
-        rows.append({"graph": g, "algo": a, "width": w, "mode": m,
-                     "simd": k[4] if len(k) > 4 else simd,
+        g, a, w = k[:3]
+        rows.append({"graph": g, "algo": a, "width": w,
+                     "simd": k[3] if len(k) > 3 else simd,
                      "median_ns_per_edge": v * factor,
                      "min_ns_per_edge": v * factor * 0.9})
     return {
@@ -273,16 +271,16 @@ def self_test():
     """Exercises the comparison and its guard rails on synthetic docs."""
     args = argparse.Namespace(threshold=10.0, normalize=False, check=False,
                               allow_isa_mismatch=False)
-    rows = {("kron", "ms", 64, "flat"): 2.0, ("kron", "sms", 1, "flat"): 4.0}
+    rows = {("kron", "ms", 64): 2.0, ("kron", "sms", 1): 4.0}
 
     # Identical runs: clean table, no regressions.
     assert compare_runs(make_doc(rows), make_doc(rows), args) == []
 
     # A genuine regression (median and min both move) is flagged.
     slow = dict(rows)
-    slow[("kron", "ms", 64, "flat")] = 3.0
+    slow[("kron", "ms", 64)] = 3.0
     bad = compare_runs(make_doc(rows), make_doc(slow), args)
-    assert len(bad) == 1 and "kron/ms/w64/flat" in bad[0], bad
+    assert len(bad) == 1 and "kron/ms/w64" in bad[0], bad
 
     # Uniform 2x machine drift under --normalize: no false regression.
     norm = argparse.Namespace(threshold=10.0, normalize=True, check=False,
@@ -308,9 +306,9 @@ def self_test():
 
     # Rows carrying distinct simd labels within one run are distinct
     # series: a scalar-forced comparison row never joins against (or
-    # shadows) the native-level row with the same graph/algo/width/mode.
+    # shadows) the native-level row with the same graph/algo/width.
     both = dict(rows)
-    both[("kron", "ms", 64, "flat", "scalar")] = 6.0
+    both[("kron", "ms", 64, "scalar")] = 6.0
     assert compare_runs(make_doc(rows, simd="avx2"),
                         make_doc(both, simd="avx2"), args) == []
 

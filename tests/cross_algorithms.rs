@@ -140,21 +140,18 @@ fn option_matrix_is_correct() {
     ] {
         for chunk_skip in [true, false] {
             for split in [64usize, 100, 256, 10_000] {
-                for mode in [FrontierMode::Flat, FrontierMode::Summary] {
-                    let mut opts = BfsOptions::default()
-                        .with_policy(policy)
-                        .with_split_size(split)
-                        .with_frontier_mode(mode);
-                    opts.chunk_skip = chunk_skip;
-                    let mut bfs = SmsPbfsBit::new(g.num_vertices());
-                    let v = DistanceVisitor::new(g.num_vertices());
-                    bfs.run(&g, &pool, 3, &opts, &v);
-                    assert_eq!(
-                        v.distances(),
-                        oracle,
-                        "policy={policy:?} chunk_skip={chunk_skip} split={split} mode={mode:?}"
-                    );
-                }
+                let mut opts = BfsOptions::default()
+                    .with_policy(policy)
+                    .with_split_size(split);
+                opts.chunk_skip = chunk_skip;
+                let mut bfs = SmsPbfsBit::new(g.num_vertices());
+                let v = DistanceVisitor::new(g.num_vertices());
+                bfs.run(&g, &pool, 3, &opts, &v);
+                assert_eq!(
+                    v.distances(),
+                    oracle,
+                    "policy={policy:?} chunk_skip={chunk_skip} split={split}"
+                );
             }
         }
     }

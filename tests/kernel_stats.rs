@@ -301,9 +301,8 @@ fn assert_sharded_matches_mspbfs<const W: usize>(
     sources: &[u32],
 ) {
     let n = g.num_vertices();
-    let summary = BfsOptions::default().with_frontier_mode(FrontierMode::Summary);
     let vis = MsDistanceVisitor::<W>::new(n, sources.len());
-    let stats = MsPbfs::<W>::new(n).run(g, pool, sources, &summary, &vis);
+    let stats = MsPbfs::<W>::new(n).run(g, pool, sources, &BfsOptions::default(), &vis);
     let want = (levels(&stats), vis.into_distances());
     assert!(
         want.0.iter().any(|l| l.0 == Direction::BottomUp),
@@ -390,9 +389,8 @@ fn instrumented_sharded_bottom_up_reports_per_worker_work() {
 
     // Scatter and pull scan exactly the adjacency entries MS-PBFS's
     // top-down phase 1 and bottom-up phase scan on the same levels.
-    let summary = opts.with_frontier_mode(FrontierMode::Summary);
     let mut flat: MsPbfs<1> = MsPbfs::new(g.num_vertices());
-    let want = flat.run(&g, &pool, &sources, &summary, &NoopMsVisitor);
+    let want = flat.run(&g, &pool, &sources, &opts, &NoopMsVisitor);
     assert_eq!(levels(&stats), levels(&want));
     let edges = |s: &TraversalStats| -> Vec<u64> {
         s.iterations.iter().map(|it| it.edges_relaxed()).collect()
@@ -464,6 +462,57 @@ fn single_source_kernels_take_the_mspbfs_directions() {
                 (levels, dists.remove(0)),
                 want,
                 "{name}: ShardedMsBfs<1>, {parts} partitions, from {s}"
+            );
+        }
+    }
+}
+
+/// Vertex 0 joined to vertices `1..=fan`, plus a path from vertex `fan`
+/// through `len` further vertices. From vertex 0 the first level stays
+/// top-down only if vertex 0's degree is taken off the unexplored degree
+/// once.
+fn fan_path(fan: u32, len: u32) -> CsrGraph {
+    let spokes = (1..=fan).map(|v| (0, v));
+    let path = (fan..fan + len).map(|v| (v, v + 1));
+    let edges: Vec<(u32, u32)> = spokes.chain(path).collect();
+    CsrGraph::from_edges((fan + len + 1) as usize, &edges)
+}
+
+/// A batch whose sources are all one vertex `s` traverses like a single
+/// BFS from `s`: every multi-source kernel takes, per iteration, the
+/// directions `SmsPbfsBit` takes from `s`, since a repeated source adds
+/// its degree to the fully-seen degree once.
+#[test]
+fn duplicate_sources_take_the_single_source_directions() {
+    let pool = WorkerPool::new(WORKERS);
+    let directions = |s: &TraversalStats| -> Vec<Direction> {
+        s.iterations.iter().map(|it| it.direction).collect()
+    };
+    let kron = gen::Kronecker::graph500(8).seed(4).generate();
+    let hub = (0..kron.num_vertices() as u32)
+        .max_by_key(|&v| kron.degree(v))
+        .unwrap();
+    let cases = [
+        ("fan_path(10, 73)", fan_path(10, 73), 0),
+        ("kronecker(8)", kron, hub),
+    ];
+    for (name, g, s) in &cases {
+        let (n, s, opts) = (g.num_vertices(), *s, BfsOptions::default());
+        let want = directions(&SmsPbfsBit::new(n).run(g, &pool, s, &opts, &NoopVisitor));
+        let pair = [s, s];
+
+        let got = MsPbfs::<1>::new(n).run(g, &pool, &pair, &opts, &NoopMsVisitor);
+        assert_eq!(directions(&got), want, "{name}: MsPbfs<1> on [{s}, {s}]");
+        let got = MsBfs::<1>::new(n).run(g, &pair, &opts, &NoopMsVisitor);
+        assert_eq!(directions(&got), want, "{name}: MsBfs<1> on [{s}, {s}]");
+        for parts in [1usize, 2] {
+            let part = PartitionedCsr::partition(g, parts, WORKERS, 64);
+            let got =
+                ShardedMsBfs::<1>::new(n, parts).run(&part, &pool, &pair, &opts, &NoopMsVisitor);
+            assert_eq!(
+                directions(&got),
+                want,
+                "{name}: ShardedMsBfs<1>, {parts} partitions, on [{s}, {s}]"
             );
         }
     }

@@ -329,37 +329,31 @@ proptest! {
     }
 
     #[test]
-    fn flat_and_summary_frontiers_visit_identically(
+    fn summary_frontier_scans_match_textbook(
         g in arb_graph(),
         sources_raw in proptest::collection::vec(0u32..80, 1..=64),
         workers in 1usize..5,
     ) {
         // The summary bitmap is conservative ("may be active"); a missed
-        // mark would shrink the visit set. Flat iteration is the ground
-        // truth: both modes must discover exactly the same states, for
-        // multi-source and single-source kernels alike.
+        // mark would shrink the visit set. The textbook BFS is the ground
+        // truth: the summary-guided kernels must discover exactly its
+        // states, for multi-source and single-source kernels alike.
         let n = g.num_vertices() as u32;
         let sources: Vec<u32> = sources_raw.iter().map(|&s| s % n).collect();
-        let flat = BfsOptions::default().with_frontier_mode(FrontierMode::Flat);
-        let summary = BfsOptions::default().with_frontier_mode(FrontierMode::Summary);
+        let opts = BfsOptions::default();
         let pool = WorkerPool::new(workers);
 
-        let mut a: MsPbfs<1> = MsPbfs::new(g.num_vertices());
-        let va: MsDistanceVisitor<1> = MsDistanceVisitor::new(g.num_vertices(), sources.len());
-        a.run(&g, &pool, &sources, &flat, &va);
-        let mut b: MsPbfs<1> = MsPbfs::new(g.num_vertices());
-        let vb: MsDistanceVisitor<1> = MsDistanceVisitor::new(g.num_vertices(), sources.len());
-        b.run(&g, &pool, &sources, &summary, &vb);
+        let mut ms: MsPbfs<1> = MsPbfs::new(g.num_vertices());
+        let vm: MsDistanceVisitor<1> = MsDistanceVisitor::new(g.num_vertices(), sources.len());
+        ms.run(&g, &pool, &sources, &opts, &vm);
         for (i, &s) in sources.iter().enumerate() {
-            prop_assert_eq!(va.distances_of(i), vb.distances_of(i), "ms source {}", s);
+            prop_assert_eq!(vm.distances_of(i), textbook::distances(&g, s), "ms source {}", s);
         }
 
         let src = sources[0];
-        let da = DistanceVisitor::new(g.num_vertices());
-        SmsPbfsBit::new(g.num_vertices()).run(&g, &pool, src, &flat, &da);
-        let db = DistanceVisitor::new(g.num_vertices());
-        SmsPbfsBit::new(g.num_vertices()).run(&g, &pool, src, &summary, &db);
-        prop_assert_eq!(da.distances(), db.distances(), "sms source {}", src);
+        let d = DistanceVisitor::new(g.num_vertices());
+        SmsPbfsBit::new(g.num_vertices()).run(&g, &pool, src, &opts, &d);
+        prop_assert_eq!(d.distances(), textbook::distances(&g, src), "sms source {}", src);
     }
 
     #[test]
