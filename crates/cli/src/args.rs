@@ -30,7 +30,7 @@ usage:
         --query-timeout expires queries stuck in the queue, and
         --drain-timeout bounds the shutdown drain (0 = unbounded);
         --shards runs one dispatcher + queue + pool stack per simulated
-        socket over a partitioned CSR (results are bit-identical to
+        socket, each running MS-PBFS (results are bit-identical to
         --shards 1); --mutations replays a streaming-mutation script
         interleaved with the query traffic: one op per line — `add U V`,
         `del U V`, `commit` (publish the batch as a new epoch), `compact`

@@ -48,9 +48,6 @@ pub const CHAOS_SITES: &[&str] = &[
     "core.engine.expire",
     "core.mspbfs.phase",
     "core.smspbfs.phase",
-    // Reached only by sharded schedules (`ChaosConfig::shards` > 1);
-    // arming it in an unsharded schedule is a harmless no-op.
-    "core.sharded.phase",
     "bitset.summary.mark",
     "bitset.summary.clear",
     // ReturnError here forces the SIMD dispatch to fall back to the scalar
@@ -58,9 +55,9 @@ pub const CHAOS_SITES: &[&str] = &[
     // level is bit-identical to scalar.
     "bitset.simd.dispatch",
     // Storage epoch sites. In a non-mutating schedule apply/publish/compact
-    // are never evaluated (harmless no-ops, like `core.sharded.phase`
-    // without shards); `storage.reclaim` fires whenever an epoch drops and
-    // must be survived by *every* engine teardown.
+    // are never evaluated (harmless no-ops); `storage.reclaim` fires
+    // whenever an epoch drops and must be survived by *every* engine
+    // teardown.
     "storage.apply",
     "storage.publish",
     "storage.compact",
@@ -92,8 +89,8 @@ pub struct ChaosConfig {
     /// Engine worker threads.
     pub workers: usize,
     /// Engine shards ([`EngineConfig::shards`]): above 1, every schedule
-    /// soaks the sharded scatter/gather engine, including the
-    /// `core.sharded.phase` failpoint site.
+    /// soaks the per-shard dispatcher, queue and pool stacks (round-robin
+    /// admission and per-shard panic isolation).
     pub shards: usize,
     /// Watchdog bound for one whole schedule (traffic + drain + shutdown).
     pub schedule_timeout: Duration,
@@ -505,9 +502,8 @@ fn run_mut_schedule(cfg: &ChaosConfig, schedule: usize) -> ScheduleOutcome {
     );
 
     // Every epoch the engine can serve is recorded here as a pinned
-    // snapshot keyed by epoch number. The initial entry is taken *after*
-    // engine construction (sharded engines republish once to attach the
-    // partition mirror); the mutator records each epoch it publishes.
+    // snapshot keyed by epoch number. The initial entry is the epoch the
+    // engine starts on; the mutator records each epoch it publishes.
     // Publishing happens-before `apply_batch`/`compact` returns, and the
     // oracle only runs after all threads join, so the map is complete for
     // every window a client observed.

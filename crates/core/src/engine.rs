@@ -30,14 +30,13 @@
 //! With [`EngineConfig::shards`] > 1 the engine runs one complete
 //! dispatcher + queue + worker-pool stack per simulated socket:
 //! submissions are scattered round-robin over the shard queues, each shard
-//! coalesces and flushes its own batches, and multi-source batch
-//! traversals run the scatter/gather kernel ([`ShardedMsBfs`]) over a
-//! [`PartitionedCsr`] whose adjacency segments mirror the shard topology.
-//! Admission ([`EngineConfig::max_queue`]) and panic isolation are
-//! per-shard: a poisoned shard fails only its own batches while the other
-//! shards keep serving. Results are bit-identical across shard counts —
-//! see the [`crate::sharded`] module docs for the determinism argument and
-//! DESIGN.md § Sharding for the protocol.
+//! coalesces and flushes its own batches on its own worker pool. Every
+//! shard traverses exactly as the single-shard engine does: MS-PBFS (or
+//! SMS-PBFS for a singleton) over the pinned snapshot, so results are
+//! bit-identical across shard counts. Admission
+//! ([`EngineConfig::max_queue`]) and panic isolation are per-shard: a
+//! poisoned shard fails only its own batches while the other shards keep
+//! serving. See DESIGN.md § Sharding for the protocol.
 //!
 //! # Failure model
 //!
@@ -83,8 +82,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pbfs_bitset::SUMMARY_CHUNK;
-use pbfs_graph::{CsrGraph, PartitionedCsr, VertexId};
+use pbfs_graph::{CsrGraph, VertexId};
 use pbfs_sched::WorkerPool;
 use pbfs_telemetry::{
     engine_lane, BoundedHistogram, Counter, EventKind, Gauge, Histogram, CLIENT_LANE,
@@ -92,10 +90,9 @@ use pbfs_telemetry::{
 
 use crate::mspbfs::MsPbfs;
 use crate::options::BfsOptions;
-use crate::sharded::ShardedMsBfs;
 use crate::smspbfs::SmsPbfsBit;
 use crate::stats::TraversalStats;
-use crate::storage::{Adjacency, GraphStore, ShardedAdjacency};
+use crate::storage::{Adjacency, GraphStore};
 use crate::visitor::{DistanceVisitor, MsDistanceVisitor};
 
 /// Batch widths the dispatcher may choose from, in preference order.
@@ -224,9 +221,9 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Engine shards (simulated sockets). 1 — the default — is the classic
     /// single-dispatcher engine. Above 1, submissions scatter round-robin
-    /// over per-shard dispatcher + queue + pool stacks and batches run the
-    /// scatter/gather kernel over a [`PartitionedCsr`]; see the
-    /// [module docs](self#sharding).
+    /// over per-shard dispatcher + queue + pool stacks; each shard runs
+    /// MS-PBFS or SMS-PBFS over the pinned snapshot exactly as one shard
+    /// does. See the [module docs](self#sharding).
     pub shards: usize,
     /// Upper bound on the coalesced batch width; clamped to the largest
     /// supported width (512) and rounded up to a supported one.
@@ -616,9 +613,7 @@ impl StatsAccum {
 /// State shared between the submission front-end and the dispatchers.
 struct Shared {
     /// The versioned graph handle. Dispatchers pin one epoch snapshot per
-    /// coalesced batch, so a batch never observes a half-applied mutation;
-    /// under sharding the store also carries the partitioned mirror the
-    /// scatter/gather kernel traverses.
+    /// coalesced batch, so a batch never observes a half-applied mutation.
     store: Arc<GraphStore>,
     /// Vertex count — fixed for the store's lifetime (mutations are
     /// edge-level), so admission validation never needs a snapshot.
@@ -682,27 +677,14 @@ impl QueryEngine {
         let base = Arc::clone(store.snapshot().base());
         // Scrapes of this process are attributable to the dataset served.
         pbfs_telemetry::set_graph_info(base.num_vertices() as u64, base.num_edges() as u64);
-        // Clamped to the partition layer's 255-node ceiling (node ids are
-        // u8) so a huge `shards` value degrades instead of panicking.
+        // Clamped to 255 so a huge `shards` value spawns a bounded number
+        // of dispatchers instead of exhausting threads.
         let nshards = config.shards.clamp(1, 255);
         pbfs_sched::publish_configured_workers(
             (0..nshards)
                 .map(|s| WorkerPool::shard_workers(nshards, config.workers.max(1), s))
                 .sum(),
         );
-        // The partitioned mirror exists only under sharding; the classic
-        // single-shard engine keeps traversing the plain CSR byte-for-byte
-        // as before. Workers and split size are clamped exactly as the
-        // kernels clamp them, so the partition's task ownership matches
-        // the pools that scan it. Once enabled, the store mirrors every
-        // future epoch (mutation or compaction) the same way.
-        if nshards > 1 && base.num_vertices() > 0 && !store.is_partitioned() {
-            store.enable_partition(
-                nshards,
-                config.workers.max(1),
-                pbfs_sched::aligned_split(config.bfs.split_size.max(1), SUMMARY_CHUNK),
-            );
-        }
         let shared = Arc::new(Shared {
             num_vertices: base.num_vertices(),
             store,
@@ -970,11 +952,9 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
     let inline_pool = WorkerPool::new(1);
     let cap = config.width_cap();
     let n = shared.num_vertices;
-    // Algorithm states are graph-sized and reused across batches. The
-    // plain-CSR states serve the single-shard engine; the scatter/gather
-    // states serve the sharded one. Only one family is ever populated.
-    // (States are sized by vertex count only, so they carry over across
-    // epochs of a mutating store unchanged.)
+    // Algorithm states are graph-sized and reused across batches. (They
+    // are sized by vertex count only, so they carry over across epochs of
+    // a mutating store unchanged.)
     let mut states = KernelStates::default();
     // Fixed when shutdown is first observed with a drain bound configured.
     let mut drain_deadline: Option<Instant> = None;
@@ -1124,11 +1104,10 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
                 hook(&pool, &sources);
             }
             // Every arm is dispatched twice: clean epochs run the plain
-            // CSR/partition monomorphization (byte-for-byte the
-            // pre-storage hot path), dirty epochs the delta-overlay one.
+            // CSR monomorphization (byte-for-byte the pre-storage hot
+            // path), dirty epochs the delta-overlay one. Sharded engines
+            // take the same arms as the single-shard one.
             if width == 1 {
-                // Every engine, sharded or not, runs a singleton on
-                // SMS-PBFS over the pinned snapshot.
                 let bfs = states.sms.get_or_insert_with(|| SmsPbfsBit::new(n));
                 let visitor = DistanceVisitor::new(n);
                 let stats = if snap.has_deltas() {
@@ -1137,17 +1116,6 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
                     bfs.run(&**snap.base(), kernel_pool, sources[0], &opts, &visitor)
                 };
                 (stats, vec![visitor.into_distances()])
-            } else if let Some(sv) = snap.sharded_view() {
-                // Sharded engine: every multi-source width runs the
-                // scatter/gather kernel over the partitioned CSR, so
-                // results are bit-identical across shard counts by one
-                // determinism argument (see `crate::sharded`).
-                if snap.has_deltas() {
-                    states.run_sharded(n, &sv, width, kernel_pool, &sources, &opts)
-                } else {
-                    let part: &PartitionedCsr = snap.part().expect("sharded view implies mirror");
-                    states.run_sharded(n, part, width, kernel_pool, &sources, &opts)
-                }
             } else if snap.has_deltas() {
                 states.run_ms(n, &snap, width, kernel_pool, &sources, &opts)
             } else {
@@ -1249,10 +1217,6 @@ struct KernelStates {
     ms2: Option<MsPbfs<2>>,
     ms4: Option<MsPbfs<4>>,
     ms8: Option<MsPbfs<8>>,
-    sh1: Option<ShardedMsBfs<1>>,
-    sh2: Option<ShardedMsBfs<2>>,
-    sh4: Option<ShardedMsBfs<4>>,
-    sh8: Option<ShardedMsBfs<8>>,
 }
 
 impl KernelStates {
@@ -1274,25 +1238,6 @@ impl KernelStates {
             _ => run_ms(&mut self.ms8, n, g, pool, sources, opts),
         }
     }
-
-    /// Runs one multi-source batch through the scatter/gather kernel,
-    /// selecting the compile-time width slot covering `width`.
-    fn run_sharded<P: ShardedAdjacency + ?Sized>(
-        &mut self,
-        n: usize,
-        part: &P,
-        width: usize,
-        pool: &WorkerPool,
-        sources: &[VertexId],
-        opts: &BfsOptions,
-    ) -> (TraversalStats, Vec<Vec<u32>>) {
-        match width {
-            64 => run_sharded(&mut self.sh1, n, part, pool, sources, opts),
-            128 => run_sharded(&mut self.sh2, n, part, pool, sources, opts),
-            256 => run_sharded(&mut self.sh4, n, part, pool, sources, opts),
-            _ => run_sharded(&mut self.sh8, n, part, pool, sources, opts),
-        }
-    }
 }
 
 /// Runs one multi-source batch at compile-time width `W`, reusing `state`.
@@ -1307,22 +1252,6 @@ fn run_ms<const W: usize, G: Adjacency + ?Sized>(
     let bfs = state.get_or_insert_with(|| MsPbfs::new(n));
     let visitor: MsDistanceVisitor<W> = MsDistanceVisitor::new(n, sources.len());
     let stats = bfs.run(g, pool, sources, opts, &visitor);
-    (stats, visitor.into_distances())
-}
-
-/// Runs one batch through the scatter/gather kernel at compile-time width
-/// `W`, reusing `state`. The sharded engine's counterpart of [`run_ms`].
-fn run_sharded<const W: usize, P: ShardedAdjacency + ?Sized>(
-    state: &mut Option<ShardedMsBfs<W>>,
-    n: usize,
-    part: &P,
-    pool: &WorkerPool,
-    sources: &[VertexId],
-    opts: &BfsOptions,
-) -> (TraversalStats, Vec<Vec<u32>>) {
-    let bfs = state.get_or_insert_with(|| ShardedMsBfs::new(n, part.num_nodes()));
-    let visitor: MsDistanceVisitor<W> = MsDistanceVisitor::new(n, sources.len());
-    let stats = bfs.run(part, pool, sources, opts, &visitor);
     (stats, visitor.into_distances())
 }
 

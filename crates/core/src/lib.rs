@@ -14,7 +14,7 @@
 //! | [`smspbfs`] | **SMS-PBFS** — parallel single-source BFS (bit & byte) | §3.2 |
 //! | `driver` (crate-private) | the level-synchronous loop under MS-PBFS, SMS-PBFS and the sharded kernel | §3 |
 //! | [`batch`] | multi-batch drivers (per-core instances, one-per-socket) | §5.3 |
-//! | [`sharded`] | scatter/gather MS-BFS over the partitioned CSR | §4.4 |
+//! | [`sharded`] | scatter/gather MS-BFS over the partitioned CSR (library kernel; engines run MS-PBFS) | §4.4 |
 //! | [`engine`] | online batched query engine (request coalescing, sharding) | — |
 //! | [`analytics`] | closeness centrality, neighborhood function, reachability, connected components | §1 |
 //! | [`centrality`] | Brandes betweenness, harmonic centrality | §1 |

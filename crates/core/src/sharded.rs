@@ -6,6 +6,13 @@
 //! [`PartitionedCsr`](pbfs_graph::PartitionedCsr), the stepping
 //! stone to the 2D-decomposition distributed BFS of Buluç–Madduri.
 //!
+//! This is a library kernel: the query engine does not run it. Sharded
+//! engines ([`crate::engine::EngineConfig::shards`]) traverse with MS-PBFS
+//! over the pinned snapshot, which measured faster in one process. The
+//! kernel's callers are the benchmark's per-layer replay and the kernel
+//! tests, over a [`PartitionedCsr`](pbfs_graph::PartitionedCsr) such as the
+//! mirror [`crate::storage::GraphStore::enable_partition`] publishes.
+//!
 //! The level loop is the shared traversal driver (`crate::driver`). Its
 //! direction comes from [`BfsOptions::policy`] as in MS-PBFS; every scan
 //! is summary-guided, on task ranges exactly at the partition split. A
@@ -47,8 +54,8 @@
 //! The direction policy reads only sums over the discovered vertices (the
 //! frontier's degree and the degree of vertices every source has seen),
 //! so every partition count takes the same direction on every level.
-//! The oracle-differential suite in `tests/sharded_oracle.rs` checks this
-//! against the single-shard engine.
+//! `tests/kernel_stats.rs` checks this against MS-PBFS over 1, 2 and 3
+//! partitions.
 
 use std::ops::Range;
 
@@ -123,10 +130,8 @@ impl<const W: usize> ShardedMsBfs<W> {
 
     /// Runs one batch of concurrent BFSs from `sources` on `pool`.
     ///
-    /// Generic over [`ShardedAdjacency`], so the same state traverses a
-    /// plain [`PartitionedCsr`](pbfs_graph::PartitionedCsr) or a mutation-overlaid
-    /// [`crate::storage::ShardedSnapshot`]; the plain-partition
-    /// monomorphization is the unchanged hot path.
+    /// Generic over [`ShardedAdjacency`]; its implementation is the plain
+    /// [`PartitionedCsr`](pbfs_graph::PartitionedCsr).
     ///
     /// # Panics
     /// Panics if `sources` is empty, exceeds `W * 64`, contains an

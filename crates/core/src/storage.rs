@@ -141,9 +141,9 @@ impl Adjacency for CsrGraph {
     }
 }
 
-/// Adjacency with the NUMA-partition layout the scatter/gather kernel
-/// needs ([`crate::sharded`]): a vertex→node mapping at task-range
-/// granularity.
+/// Adjacency with the NUMA-partition layout the scatter/gather library
+/// kernel needs ([`crate::sharded`]): a vertex→node mapping at task-range
+/// granularity. The query engine does not use it.
 pub trait ShardedAdjacency: Adjacency {
     /// Number of NUMA node segments.
     fn num_nodes(&self) -> usize;
@@ -407,15 +407,6 @@ impl GraphSnapshot {
     pub fn has_deltas(&self) -> bool {
         !self.inner.delta.is_clean()
     }
-
-    /// A partition-layout view of this snapshot for the scatter/gather
-    /// kernel. `None` when the store is not partitioned.
-    pub fn sharded_view(&self) -> Option<ShardedSnapshot<'_>> {
-        self.inner.part.as_deref().map(|part| ShardedSnapshot {
-            part,
-            delta: &self.inner.delta,
-        })
-    }
 }
 
 impl Adjacency for GraphSnapshot {
@@ -454,56 +445,6 @@ impl Adjacency for GraphSnapshot {
         // Dirty vertices are served from the delta map; prefetching the
         // superseded base list is harmless and keeps the clean path tight.
         self.inner.base.prefetch_neighbors(v)
-    }
-}
-
-/// A [`GraphSnapshot`] viewed through the epoch's partition mirror: the
-/// scatter/gather kernel's input when the store both shards and mutates.
-#[derive(Clone, Copy)]
-pub struct ShardedSnapshot<'a> {
-    part: &'a PartitionedCsr,
-    delta: &'a DeltaIndex,
-}
-
-impl Adjacency for ShardedSnapshot<'_> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.part.num_vertices()
-    }
-    #[inline]
-    fn num_directed_edges(&self) -> usize {
-        (self.part.num_edges() as i64 * 2 + self.delta.directed_delta) as usize
-    }
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        if self.delta.is_dirty(v as usize) {
-            self.delta.dirty[&v].len()
-        } else {
-            self.part.degree(v)
-        }
-    }
-    #[inline]
-    fn neighbors_fast(&self, v: VertexId) -> &[VertexId] {
-        if self.delta.is_dirty(v as usize) {
-            &self.delta.dirty[&v]
-        } else {
-            self.part.neighbors(v)
-        }
-    }
-}
-
-impl ShardedAdjacency for ShardedSnapshot<'_> {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.part.num_nodes()
-    }
-    #[inline]
-    fn node_of(&self, v: VertexId) -> usize {
-        self.part.node_of(v)
-    }
-    #[inline]
-    fn split_size(&self) -> usize {
-        self.part.split_size()
     }
 }
 
@@ -578,7 +519,9 @@ impl GraphStore {
 
     /// Attaches (or re-lays-out) a NUMA partition mirror: the current
     /// epoch is republished with a [`PartitionedCsr`] of the given layout,
-    /// and every future epoch — mutation or compaction — carries one.
+    /// and every future epoch — mutation or compaction — carries one. The
+    /// mirror feeds the scatter/gather kernel ([`crate::sharded`]); the
+    /// query engine never reads it, at any shard count.
     ///
     /// # Panics
     /// Panics on a degenerate layout, exactly like
@@ -915,11 +858,10 @@ mod tests {
             .apply_batch(&[EdgeMutation::Insert(0, 299), EdgeMutation::Delete(0, 299)])
             .unwrap();
         store.apply_batch(&[EdgeMutation::Insert(7, 133)]).unwrap();
-        let s = store.snapshot();
-        let sharded = s.sharded_view().expect("partitioned store");
-        for v in 0..s.num_vertices() as u32 {
-            assert_eq!(sharded.neighbors_fast(v), s.neighbors_fast(v), "vertex {v}");
-        }
+        assert!(
+            store.snapshot().part().is_some(),
+            "mutation epochs keep the mirror"
+        );
         // Compaction rebuilds the mirror over the fresh base.
         store.compact().unwrap();
         let s = store.snapshot();

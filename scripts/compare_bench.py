@@ -29,10 +29,13 @@ measured run-to-run noise floor (see .github/workflows/ci.yml).
 
 Rows are keyed on (graph, algo, width, simd), so the kernels
 bench's scalar-forced comparison rows form their own series and never
-join against native-level rows. Runs whose configs record *different*
-SIMD dispatch levels are refused outright unless --allow-isa-mismatch
-is passed (the comparison is then normalized): absolute ns/edge across
-ISAs measures the vector kernels, not a code regression.
+join against native-level rows. Two rows of one document with the same
+key are an error, never a silent overwrite. Runs whose configs record
+*different* SIMD dispatch levels are refused outright unless
+--allow-isa-mismatch is passed (the comparison is then normalized):
+absolute ns/edge across ISAs measures the vector kernels, not a code
+regression. Such a comparison joins each run's native-level rows with
+a "*" simd label, while the scalar-forced rows keep theirs.
 
 Usage:
     compare_bench.py BASELINE.json CURRENT.json [--check]
@@ -127,6 +130,20 @@ def check_isa(base, cur, args, base_name, cur_name):
     return True
 
 
+def index_rows(doc, keyfn, path):
+    """A document's rows by join key. Two rows sharing a key would
+    silently shadow each other in the join, so that is a named error."""
+    rows = {}
+    for r in doc["kernels"]:
+        k = keyfn(r)
+        if k in rows:
+            sys.exit(f"error: {path}: duplicate row for join key "
+                     f"{'/'.join(map(str, k))}; every (graph, algo, width, "
+                     "simd) may appear once")
+        rows[k] = r
+    return rows
+
+
 def geomean(values):
     vals = [v for v in values if v > 0]
     if not vals:
@@ -137,16 +154,20 @@ def geomean(values):
 def compare_runs(base, cur, args, base_name="baseline", cur_name="current"):
     """Prints the delta table; returns the list of regression strings."""
     cross_isa = check_isa(base, cur, args, base_name, cur_name)
-    if cross_isa:
-        # Allowed cross-ISA diff: the per-row simd labels differ by
-        # construction, so join on (graph, algo, width) alone and show
-        # "*" in the simd column.
-        def keyfn(r):
-            return key(r)[:3] + ("*",)
-    else:
-        keyfn = key
-    base_rows = {keyfn(r): r for r in base["kernels"]}
-    cur_rows = {keyfn(r): r for r in cur["kernels"]}
+
+    def keyfn_for(doc):
+        if not cross_isa:
+            return key
+        # Allowed cross-ISA diff: the native-level labels differ by
+        # construction, so native rows join on (graph, algo, width) and
+        # show "*" in the simd column. Rows at any other level (the
+        # scalar-forced sweep) stay a series of their own.
+        native = doc["config"]["simd"]
+        return lambda r: key(r)[:3] + ("*" if key(r)[3] == native
+                                       else key(r)[3],)
+
+    base_rows = index_rows(base, keyfn_for(base), base_name)
+    cur_rows = index_rows(cur, keyfn_for(cur), cur_name)
 
     normalize = args.normalize or not configs_match(base, cur)
     print(f"comparing {cur_name} against {base_name}")
@@ -312,6 +333,33 @@ def self_test():
     assert compare_runs(make_doc(rows, simd="avx2"),
                         make_doc(both, simd="avx2"), args) == []
 
+    # Two rows sharing a join key in either document are a named error:
+    # the row dict would otherwise keep only the later one.
+    dup = make_doc(rows)
+    dup["kernels"].append(dict(dup["kernels"][0]))
+    expect_exit(lambda: compare_runs(dup, make_doc(rows), args, "dup.json"),
+                "dup.json: duplicate row for join key kron/ms/64/auto")
+    expect_exit(lambda: compare_runs(make_doc(rows), dup, args,
+                                     cur_name="dup.json"),
+                "dup.json: duplicate row")
+
+    # Cross-ISA, the scalar-forced sweep stays its own series next to the
+    # wildcarded native rows: a native regression is not shadowed by the
+    # sweep row of the same (graph, algo, width), and the sweep is
+    # compared too.
+    swept = dict(rows)
+    swept[("kron", "ms", 64, "scalar")] = 6.0
+    native_slow = dict(swept)
+    native_slow[("kron", "ms", 64)] = 6.0
+    bad = compare_runs(make_doc(swept, simd="avx512"),
+                       make_doc(native_slow, simd="avx2"), allow)
+    assert [r.split(":")[0] for r in bad] == ["kron/ms/w64/*"], bad
+    sweep_slow = dict(swept)
+    sweep_slow[("kron", "ms", 64, "scalar")] = 18.0
+    bad = compare_runs(make_doc(swept, simd="avx512"),
+                       make_doc(sweep_slow, simd="avx2"), allow)
+    assert [r.split(":")[0] for r in bad] == ["kron/ms/w64/scalar"], bad
+
     # A zero baseline median must exit with a named row, not divide by
     # zero mid-table.
     zeroed = make_doc(rows)
@@ -333,7 +381,7 @@ def self_test():
     expect_exit(lambda: validate({"bench": "other"}, "other.json"),
                 "not a kernels bench document")
 
-    print("self-test ok: 10 scenarios passed")
+    print("self-test ok: 12 scenarios passed")
 
 
 def main():

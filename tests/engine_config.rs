@@ -138,8 +138,8 @@ fn raw_zero_shards_is_clamped_and_serves() {
 }
 
 /// Absurdly large knob values must not overflow or stall: a huge queue
-/// bound, a huge shard count (clamped to the partitioner's 255-node
-/// ceiling), and saturating timeouts all serve correctly.
+/// bound, a huge shard count (clamped to 255 shards), and saturating
+/// timeouts all serve correctly.
 #[test]
 fn absurd_knob_values_are_clamped_not_panics() {
     let config = EngineConfig::default()
@@ -150,8 +150,8 @@ fn absurd_knob_values_are_clamped_not_panics() {
         .with_query_timeout(Some(Duration::MAX))
         .with_drain_timeout(Some(Duration::MAX));
     with_watchdog(60, move || {
-        // 64 vertices over min(usize::MAX, 255) shards: most shards own no
-        // vertices, which the partitioner and dispatchers must tolerate.
+        // min(usize::MAX, 255) shards over 64 vertices: most shards serve
+        // no query, which their dispatchers must tolerate.
         let e = QueryEngine::new(Arc::new(gen::cycle(64)), config);
         let d = e.submit(1).unwrap().wait().unwrap();
         assert_eq!(d[33], 32);

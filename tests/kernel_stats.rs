@@ -10,10 +10,9 @@
 //! must also honour `BfsOptions::instrument` like the others.
 //!
 //! The engine runs each kernel on a `GraphSnapshot` when its epoch has
-//! deltas and on the plain `CsrGraph`/`PartitionedCsr` otherwise. Both
-//! arms must produce the same distances, direction decisions and levels,
-//! on a clean snapshot and on a dirty one against the CSR its compaction
-//! publishes.
+//! deltas and on the plain `CsrGraph` otherwise. Both arms must produce
+//! the same distances, direction decisions and levels, on a clean
+//! snapshot and on a dirty one against the CSR its compaction publishes.
 
 use pbfs::core::memory::MemoryModel;
 use pbfs::core::prelude::*;
@@ -194,8 +193,8 @@ fn run_sms<G: Adjacency + ?Sized>(g: &G, pool: &WorkerPool, source: u32) -> (Lev
     (levels(&stats), vis.into_distances())
 }
 
-fn run_sharded<P: ShardedAdjacency + ?Sized>(
-    part: &P,
+fn run_sharded(
+    part: &PartitionedCsr,
     pool: &WorkerPool,
     sources: &[u32],
 ) -> (Levels, Vec<Vec<u32>>) {
@@ -212,17 +211,11 @@ fn run_sharded<P: ShardedAdjacency + ?Sized>(
 }
 
 /// Runs every kernel the engine dispatches (`MsPbfs<1>`, `MsPbfs<8>`,
-/// `SmsPbfsBit`, `ShardedMsBfs<1>`) once on `snap` and once on the plain
-/// `g`/`part` that must describe the same logical graph, and requires
-/// identical distances and per-iteration levels. Returns the levels of
-/// the `MsPbfs<1>` batch, whose first source is vertex 0.
-fn assert_arms_agree(
-    what: &str,
-    snap: &GraphSnapshot,
-    g: &CsrGraph,
-    part: &PartitionedCsr,
-    pool: &WorkerPool,
-) -> Levels {
+/// `SmsPbfsBit`) once on `snap` and once on the plain `g` that must
+/// describe the same logical graph, and requires identical distances and
+/// per-iteration levels. Returns the levels of the `MsPbfs<1>` batch,
+/// whose first source is vertex 0.
+fn assert_arms_agree(what: &str, snap: &GraphSnapshot, g: &CsrGraph, pool: &WorkerPool) -> Levels {
     let n = g.num_vertices() as u32;
     let few: Vec<u32> = (0..64).map(|i| i * 7 % n).collect();
     let many: Vec<u32> = (0..300).map(|i| i * 3 % n).collect();
@@ -240,12 +233,6 @@ fn assert_arms_agree(
             "{what}: SmsPbfsBit from {s}"
         );
     }
-    let view = snap.sharded_view().expect("partitioned store");
-    assert_eq!(
-        run_sharded(&view, pool, &few),
-        run_sharded(part, pool, &few),
-        "{what}: ShardedMsBfs<1>"
-    );
     ms1.0
 }
 
@@ -254,11 +241,9 @@ fn clean_snapshot_and_plain_csr_report_identical_levels() {
     let pool = WorkerPool::new(WORKERS);
     let g = gen::Kronecker::graph500(10).seed(7).generate();
     let store = GraphStore::new(std::sync::Arc::new(g));
-    store.enable_partition(2, WORKERS, 64);
     let snap = store.snapshot();
     assert!(!snap.has_deltas());
-    let part = snap.part().expect("partitioned store");
-    let ms1 = assert_arms_agree("clean", &snap, snap.base(), part, &pool);
+    let ms1 = assert_arms_agree("clean", &snap, snap.base(), &pool);
     assert_eq!(ms1[0].0, Direction::BottomUp, "{ms1:?}");
 }
 
@@ -273,7 +258,6 @@ fn clean_snapshot_and_plain_csr_report_identical_levels() {
 fn dirty_snapshot_matches_the_csr_its_compaction_publishes() {
     let pool = WorkerPool::new(WORKERS);
     let store = GraphStore::new(std::sync::Arc::new(gen::cycle(4000)));
-    store.enable_partition(2, WORKERS, 64);
     let mut batch: Vec<EdgeMutation> = (1..=300)
         .map(|i| EdgeMutation::Insert(0, 10 * i + 5))
         .collect();
@@ -285,8 +269,7 @@ fn dirty_snapshot_matches_the_csr_its_compaction_publishes() {
     store.compact().unwrap();
     let compacted = store.snapshot();
     assert!(!compacted.has_deltas());
-    let part = compacted.part().expect("compaction keeps the mirror");
-    let ms1 = assert_arms_agree("dirty", &dirty, compacted.base(), part, &pool);
+    let ms1 = assert_arms_agree("dirty", &dirty, compacted.base(), &pool);
     assert_eq!(ms1[0].0, Direction::BottomUp, "{ms1:?}");
 }
 

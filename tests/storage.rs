@@ -66,45 +66,68 @@ fn engine_serves_each_published_epoch_in_order() {
     assert_eq!(rerouted[1], 9, "1 is now only reachable the long way round");
 }
 
-/// The sharded engine (scatter/gather kernel over the partition mirror)
-/// tracks mutations too: every epoch re-publishes the mirror, and dirty
-/// vertices are served from the overlay on both paths.
+/// A sharded engine (MS-PBFS per shard over the pinned snapshot) tracks
+/// mutations too: dirty vertices are served from the overlay, and
+/// compaction changes only the epoch serving the answers. It runs over two
+/// stores: a fresh one, which the engine leaves unpartitioned, and one
+/// given a partition mirror before the engine starts (as the benchmark's
+/// set-up does), whose mirror must survive compaction.
 #[test]
 fn sharded_engine_tracks_mutations() {
     let _gate = GATE.lock().unwrap();
     let g = Arc::new(gen::Kronecker::graph500(8).seed(5).generate());
     let n = g.num_vertices() as u32;
-    let store = GraphStore::new(g);
-    let engine = QueryEngine::with_store(Arc::clone(&store), config().with_shards(2));
-    assert!(store.is_partitioned(), "sharded engine attaches the mirror");
+    for prepartitioned in [false, true] {
+        let store = GraphStore::new(Arc::clone(&g));
+        if prepartitioned {
+            store.enable_partition(2, 2, 64);
+        }
+        let engine = QueryEngine::with_store(Arc::clone(&store), config().with_shards(2));
+        assert_eq!(
+            store.is_partitioned(),
+            prepartitioned,
+            "the engine attaches no mirror of its own"
+        );
 
-    let sources: Vec<u32> = (0..8).map(|i| (i * 31) % n).collect();
-    for &s in &sources {
-        let d = engine.submit(s).unwrap().wait().unwrap();
-        assert_eq!(d, oracle(&store.snapshot(), s), "clean epoch, source {s}");
-    }
+        let sources: Vec<u32> = (0..8).map(|i| (i * 31) % n).collect();
+        for &s in &sources {
+            let d = engine.submit(s).unwrap().wait().unwrap();
+            assert_eq!(d, oracle(&store.snapshot(), s), "clean epoch, source {s}");
+        }
 
-    store
-        .apply_batch(&[
-            EdgeMutation::Insert(0, n - 1),
-            EdgeMutation::Insert(1, n / 2),
-            EdgeMutation::Delete(0, 1),
-        ])
-        .unwrap();
-    for &s in &sources {
-        let d = engine.submit(s).unwrap().wait().unwrap();
-        assert_eq!(d, oracle(&store.snapshot(), s), "dirty epoch, source {s}");
-    }
+        store
+            .apply_batch(&[
+                EdgeMutation::Insert(0, n - 1),
+                EdgeMutation::Insert(1, n / 2),
+                EdgeMutation::Delete(0, 1),
+            ])
+            .unwrap();
+        for &s in &sources {
+            let d = engine.submit(s).unwrap().wait().unwrap();
+            assert_eq!(d, oracle(&store.snapshot(), s), "dirty epoch, source {s}");
+        }
 
-    // Compaction folds the overlay into a fresh base; answers must not
-    // change, only the epoch serving them.
-    let before = store.current_epoch();
-    store.compact().unwrap();
-    assert!(store.current_epoch() > before);
-    assert!(!store.snapshot().has_deltas());
-    for &s in &sources {
-        let d = engine.submit(s).unwrap().wait().unwrap();
-        assert_eq!(d, oracle(&store.snapshot(), s), "compacted, source {s}");
+        // Compaction folds the overlay into a fresh base; answers must not
+        // change, only the epoch serving them.
+        let before = store.current_epoch();
+        store.compact().unwrap();
+        assert!(store.current_epoch() > before);
+        let compacted = store.snapshot();
+        assert!(!compacted.has_deltas());
+        if prepartitioned {
+            let part = compacted.part().expect("mirror survives compaction");
+            for v in 0..n {
+                assert_eq!(
+                    part.neighbors(v),
+                    compacted.base().neighbors(v),
+                    "vertex {v}"
+                );
+            }
+        }
+        for &s in &sources {
+            let d = engine.submit(s).unwrap().wait().unwrap();
+            assert_eq!(d, oracle(&store.snapshot(), s), "compacted, source {s}");
+        }
     }
 }
 
