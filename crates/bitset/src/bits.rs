@@ -145,12 +145,6 @@ impl<const W: usize> Bits<W> {
         (0..W).all(|w| self.words[w] & !other.words[w] == 0)
     }
 
-    /// True iff `self` and `other` share at least one set bit.
-    #[inline]
-    pub fn intersects(&self, other: &Self) -> bool {
-        (0..W).any(|w| self.words[w] & other.words[w] != 0)
-    }
-
     /// Fused settle — the per-vertex visit step of the paper's Listing 2:
     /// returns `(new, merged, flags)` where `new = self & !seen` (the
     /// traversals discovering this vertex now) and `merged = self | seen`,
@@ -346,13 +340,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_intersects() {
+    fn subset() {
         let a = B64::single(1) | B64::single(2);
         let b = a | B64::single(9);
         assert!(a.is_subset_of(&b));
         assert!(!b.is_subset_of(&a));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&B64::single(9)));
         assert!(B64::EMPTY.is_subset_of(&B64::EMPTY));
     }
 

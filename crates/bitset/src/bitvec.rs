@@ -72,19 +72,6 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Raw 64-bit word `wi` (bits `64*wi .. 64*wi+63`). Enables the
-    /// chunk-skipping scan of Section 3.2.
-    #[inline]
-    pub fn word(&self, wi: usize) -> u64 {
-        self.words[wi]
-    }
-
-    /// Number of backing words.
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Iterates over set-bit indices in `start..end`, skipping empty 64-bit
     /// chunks (the "check ranges of size 8 bytes" optimization).
     pub fn iter_set_in(&self, start: usize, end: usize) -> SetBitsIn<'_> {
@@ -218,25 +205,6 @@ impl AtomicBitVec {
             .iter()
             .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
             .sum()
-    }
-
-    /// Raw word `wi` (relaxed) for chunk skipping.
-    #[inline]
-    pub fn word(&self, wi: usize) -> u64 {
-        self.words[wi].load(Ordering::Relaxed)
-    }
-
-    /// Number of backing words.
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Iterates set bits in `start..end` from a relaxed snapshot of each
-    /// word, skipping all-zero 64-bit chunks.
-    pub fn iter_set_in(&self, start: usize, end: usize) -> AtomicSetBitsIn<'_> {
-        let end = end.min(self.len);
-        AtomicSetBitsIn::new(&self.words, start, end)
     }
 
     /// Calls `f` for every set bit in `start..end`. With `chunk_skip` a
@@ -448,59 +416,6 @@ impl Iterator for SetBitsIn<'_> {
     }
 }
 
-/// Iterator over set bits of an [`AtomicBitVec`] window (relaxed snapshot
-/// word by word); see [`AtomicBitVec::iter_set_in`].
-pub struct AtomicSetBitsIn<'a> {
-    words: &'a [AtomicU64],
-    cur_word: u64,
-    word_idx: usize,
-    end: usize,
-}
-
-impl<'a> AtomicSetBitsIn<'a> {
-    fn new(words: &'a [AtomicU64], start: usize, end: usize) -> Self {
-        let mut it = Self {
-            words,
-            cur_word: 0,
-            word_idx: start / WORD_BITS,
-            end,
-        };
-        if start < end {
-            let w = words[it.word_idx].load(Ordering::Relaxed);
-            it.cur_word = w & (u64::MAX << (start % WORD_BITS));
-        } else {
-            it.word_idx = words.len();
-        }
-        it
-    }
-}
-
-impl Iterator for AtomicSetBitsIn<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.cur_word != 0 {
-                let bit = self.cur_word.trailing_zeros() as usize;
-                let idx = self.word_idx * WORD_BITS + bit;
-                if idx >= self.end {
-                    self.cur_word = 0;
-                    self.word_idx = self.words.len();
-                    return None;
-                }
-                self.cur_word &= self.cur_word - 1;
-                return Some(idx);
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() || self.word_idx * WORD_BITS >= self.end {
-                return None;
-            }
-            self.cur_word = self.words[self.word_idx].load(Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,25 +492,13 @@ mod tests {
     }
 
     #[test]
-    fn atomic_iter_set_in() {
-        let v = AtomicBitVec::new(200);
-        for i in [1usize, 64, 65, 199] {
-            v.set(i);
-        }
-        let got: Vec<usize> = v.iter_set_in(1, 200).collect();
-        assert_eq!(got, vec![1, 64, 65, 199]);
-        let got: Vec<usize> = v.iter_set_in(2, 65).collect();
-        assert_eq!(got, vec![64]);
-    }
-
-    #[test]
-    fn for_each_set_matches_iter_with_and_without_chunk_skip() {
+    fn for_each_set_matches_gets_with_and_without_chunk_skip() {
         let v = AtomicBitVec::new(300);
         for i in [0usize, 5, 63, 64, 127, 200, 299] {
             v.set(i);
         }
         for (start, end) in [(0usize, 300usize), (5, 200), (64, 65), (299, 300), (10, 10)] {
-            let expect: Vec<usize> = v.iter_set_in(start, end).collect();
+            let expect: Vec<usize> = (start..end).filter(|&i| v.get(i)).collect();
             for chunk_skip in [false, true] {
                 let mut got = Vec::new();
                 v.for_each_set(start, end, chunk_skip, |i| got.push(i));

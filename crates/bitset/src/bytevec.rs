@@ -174,29 +174,6 @@ impl AtomicByteVec {
         }
     }
 
-    /// Iterates set entries in `start..end`, skipping 8-entry chunks that
-    /// are entirely clear.
-    pub fn iter_set_in(&self, start: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
-        let end = end.min(self.bytes.len());
-        let start = start.min(end);
-        let mut i = start;
-        std::iter::from_fn(move || {
-            while i < end {
-                // At a chunk boundary, test the whole chunk first.
-                if i.is_multiple_of(8) && i + 8 <= end && !self.chunk_any(i / 8) {
-                    i += 8;
-                    continue;
-                }
-                let cur = i;
-                i += 1;
-                if self.get(cur) {
-                    return Some(cur);
-                }
-            }
-            None
-        })
-    }
-
     /// Calls `f(chunk_start, chunk_end)` for each summary chunk in
     /// `start..end` that may contain set entries, skipping chunks whose
     /// summary bit is clear. Conservative: `f` may see an all-clear chunk,
@@ -260,20 +237,6 @@ mod tests {
         assert!(v.chunk_any(1));
         assert!(!v.chunk_any(0));
         assert!(!v.chunk_any(2));
-    }
-
-    #[test]
-    fn iter_set_in_skips_chunks() {
-        let v = AtomicByteVec::new(64);
-        for i in [0usize, 7, 8, 40, 63] {
-            v.set(i);
-        }
-        let got: Vec<usize> = v.iter_set_in(0, 64).collect();
-        assert_eq!(got, vec![0, 7, 8, 40, 63]);
-        let got: Vec<usize> = v.iter_set_in(1, 41).collect();
-        assert_eq!(got, vec![7, 8, 40]);
-        let got: Vec<usize> = v.iter_set_in(9, 9).collect();
-        assert!(got.is_empty());
     }
 
     #[test]

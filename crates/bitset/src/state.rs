@@ -80,27 +80,6 @@ impl<const W: usize> StateArray<W> {
         }
     }
 
-    /// `entry[v] |= bits` without atomicity (caller must own `v`).
-    #[inline]
-    pub fn or_assign_unsync(&self, v: usize, bits: Bits<W>) {
-        debug_assert!(v < self.len);
-        if !bits.is_empty() {
-            self.summary.mark(v);
-        }
-        let base = v * W;
-        for (i, w) in bits.words().iter().enumerate() {
-            if *w != 0 {
-                let slot = &self.words[base + i];
-                let cur = slot.load(Ordering::Relaxed);
-                // Skip the store when nothing changes: avoids needless cache
-                // line invalidations (Section 3.1.1).
-                if cur | *w != cur {
-                    slot.store(cur | *w, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     /// Atomically merges `bits` into entry `v`, returning the previous
     /// value. This is the synchronized update of the first top-down phase.
     ///
@@ -251,19 +230,6 @@ impl<const W: usize> StateArray<W> {
         crate::simd::nonempty_mask_unsync_at(level, &self.words[start * W..end * W], W)
     }
 
-    /// Number of entries whose bitset is non-empty (relaxed snapshot).
-    pub fn count_nonempty(&self) -> usize {
-        (0..self.len).filter(|&v| !self.get(v).is_empty()).count()
-    }
-
-    /// Sum of `count_ones` over all entries (relaxed snapshot).
-    pub fn total_ones(&self) -> u64 {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as u64)
-            .sum()
-    }
-
     /// Calls `f(chunk_start, chunk_end)` for each summary chunk in
     /// `start..end` that may contain non-empty entries, skipping chunks
     /// whose summary bit is clear. Conservative: `f` may see an all-empty
@@ -339,26 +305,24 @@ mod tests {
     }
 
     #[test]
-    fn or_assign_unsync() {
-        let a: StateArray<1> = StateArray::new(2);
-        a.or_assign_unsync(0, B64::single(5));
-        a.or_assign_unsync(0, B64::single(6));
-        assert_eq!(a.get(0).count_ones(), 2);
-    }
-
-    #[test]
     fn clear_range_and_counts() {
         let a: StateArray<1> = StateArray::new(10);
         for v in 0..10 {
             a.set(v, B64::single(v));
         }
-        assert_eq!(a.count_nonempty(), 10);
-        assert_eq!(a.total_ones(), 10);
+        assert!((0..10).all(|v| a.get(v) == B64::single(v)));
         // SAFETY: single-threaded; nothing else touches `a`.
         unsafe { a.clear_range_owned(2, 7) };
-        assert_eq!(a.count_nonempty(), 5);
+        for v in 0..10 {
+            let want = if (2..7).contains(&v) {
+                B64::EMPTY
+            } else {
+                B64::single(v)
+            };
+            assert_eq!(a.get(v), want, "v={v}");
+        }
         a.clear_all();
-        assert_eq!(a.count_nonempty(), 0);
+        assert!((0..10).all(|v| a.get(v).is_empty()));
     }
 
     #[test]
@@ -414,7 +378,7 @@ mod tests {
         assert!(saw135);
         // SAFETY: as above.
         unsafe { a.clear_range_owned(0, 200) };
-        assert_eq!(a.count_nonempty(), 0);
+        assert!((0..200).all(|v| a.get(v).is_empty()));
         let stats = a.for_each_active_chunk(0, 200, |_, _| panic!("all clear"));
         assert_eq!(stats.chunks_scanned, 0);
     }
@@ -460,7 +424,6 @@ mod tests {
         assert_eq!(chunks, vec![(64, 128), (256, 300)]);
         // Empty writes never mark.
         a.set(10, B64::EMPTY);
-        a.or_assign_unsync(11, B64::EMPTY);
         let stats = a.for_each_active_chunk(0, 64, |_, _| panic!("chunk 0 clear"));
         assert_eq!(stats.chunks_scanned, 0);
         a.clear_all();

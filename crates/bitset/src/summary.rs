@@ -61,19 +61,6 @@ impl ScanStats {
             self.chunks_skipped as f64 / total as f64
         }
     }
-
-    /// Frontier entries the scan examined: scanned chunks ×
-    /// [`SUMMARY_CHUNK`]. An upper bound for a trailing partial chunk,
-    /// matching what profiling reports as touched state.
-    pub fn entries_scanned(&self) -> u64 {
-        self.chunks_scanned * SUMMARY_CHUNK as u64
-    }
-
-    /// Frontier entries dismissed without loading their state words:
-    /// skipped chunks × [`SUMMARY_CHUNK`].
-    pub fn entries_skipped(&self) -> u64 {
-        self.chunks_skipped * SUMMARY_CHUNK as u64
-    }
 }
 
 /// One summary bit per [`SUMMARY_CHUNK`] entries of a dense state array.
@@ -250,17 +237,6 @@ mod tests {
         let mut out = Vec::new();
         let stats = s.for_each_active_chunk(start, end, |a, b| out.push((a, b)));
         (out, stats)
-    }
-
-    #[test]
-    fn entry_counts_scale_by_chunk() {
-        let s = ScanStats {
-            chunks_skipped: 3,
-            chunks_scanned: 2,
-        };
-        assert_eq!(s.entries_scanned(), 2 * SUMMARY_CHUNK as u64);
-        assert_eq!(s.entries_skipped(), 3 * SUMMARY_CHUNK as u64);
-        assert_eq!(ScanStats::default().entries_scanned(), 0);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! one): per level, pick a direction, run two barrier-separated top-down
 //! phases or one bottom-up phase, recycle the buffers and record the
 //! level's statistics. [`run`] owns that loop. A [`Kernel`] supplies its
-//! state init and seeding and the phase bodies, which keep their hot
-//! per-vertex loops and SIMD level.
+//! state init and seeding and the phase bodies. There are two: the one
+//! set of bodies MS-PBFS and both SMS-PBFS states share
+//! (`crate::mspbfs::Batch`, generic over the per-vertex state), and the
+//! sharded kernel's scatter/gather, which reuses that batch's seeding,
+//! settle, bottom-up phase and recycling.
 //! The driver acts once per level and once per task range, never per
 //! vertex, and calls the bodies through generics, so they stay
 //! monomorphized.
@@ -75,10 +78,11 @@ pub(crate) trait Kernel: Sync {
     /// Clears the state on `pool` in ranges of `split` and seeds the
     /// sources, tallied as level 0.
     fn init(&self, pool: &WorkerPool, split: usize) -> Tally;
-    /// Top-down phase 1: expands the frontier into `next`.
+    /// Top-down phase 1: expands the frontier into `next`. This phase or
+    /// the next may clear the frontier for reuse as `next`.
     fn expand(&self, step: &Step, r: Range<usize>) -> Tally;
-    /// Top-down phase 2: settles `next` against `seen` and clears the
-    /// frontier for reuse as `next`.
+    /// Top-down phase 2: settles `next` against `seen`, clearing the
+    /// frontier for reuse as `next` if phase 1 did not.
     fn settle(&self, step: &Step, r: Range<usize>) -> Tally;
     /// Bottom-up: unseen vertices pull from frontier neighbors.
     fn bottom_up(&self, step: &Step, r: Range<usize>) -> Tally;
@@ -89,7 +93,7 @@ pub(crate) trait Kernel: Sync {
 }
 
 /// The task range size for `opts`. Ranges align to `ownership_align`, so
-/// `*_owned` state accesses never share a storage unit, and to summary
+/// writes to owned entries never share a storage unit, and to summary
 /// chunks, so range clears clear summary bits exactly.
 pub(crate) fn aligned_split(opts: &BfsOptions, ownership_align: usize) -> usize {
     pbfs_sched::aligned_split(opts.split_size.max(1), ownership_align.max(SUMMARY_CHUNK))
@@ -227,9 +231,9 @@ pub(crate) fn run<K: Kernel>(
             ),
         };
 
-        // Phase 2 cleared the old frontier after top-down; after bottom-up
-        // it was read throughout the pull loop and its summary-active
-        // chunks must be cleared before it serves as `next`.
+        // A top-down level cleared the old frontier in phase 1 or 2; after
+        // bottom-up it was read throughout the pull loop and its
+        // summary-active chunks must be cleared before it serves as `next`.
         k.rotate();
         if direction == Direction::BottomUp {
             let kr = &*k;

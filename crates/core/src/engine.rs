@@ -554,7 +554,6 @@ struct StatsAccum {
     expired: u64,
     failed: u64,
     batch_failures: u64,
-    first_submit: Option<Instant>,
     last_done: Option<Instant>,
 }
 
@@ -573,16 +572,17 @@ impl Default for StatsAccum {
             expired: 0,
             failed: 0,
             batch_failures: 0,
-            first_submit: None,
             last_done: None,
         }
     }
 }
 
 impl StatsAccum {
-    fn snapshot(&self) -> EngineStats {
+    /// The stats of an engine whose first query was submitted at
+    /// `first_submit`.
+    fn snapshot(&self, first_submit: Option<Instant>) -> EngineStats {
         let queries = self.latencies.count();
-        let queries_per_sec = match (self.first_submit, self.last_done) {
+        let queries_per_sec = match (first_submit, self.last_done) {
             (Some(first), Some(last)) if last > first => {
                 queries as f64 / (last - first).as_secs_f64()
             }
@@ -624,6 +624,9 @@ struct Shared {
     /// Round-robin scatter cursor for submissions.
     next_shard: AtomicUsize,
     stats: Mutex<StatsAccum>,
+    /// When the first query was admitted. Written once, so admission
+    /// never takes the `stats` lock for it.
+    first_submit: OnceLock<Instant>,
 }
 
 /// The per-shard admission queue and its signaling.
@@ -692,6 +695,7 @@ impl QueryEngine {
             shards: (0..nshards).map(ShardQueue::new).collect(),
             next_shard: AtomicUsize::new(0),
             stats: Mutex::new(StatsAccum::default()),
+            first_submit: OnceLock::new(),
         });
         let dispatchers = (0..nshards)
             .map(|shard| {
@@ -805,9 +809,7 @@ impl QueryEngine {
             now
         };
         sq.queue_cv.notify_all();
-        lock(&self.shared.stats)
-            .first_submit
-            .get_or_insert(submitted);
+        self.shared.first_submit.get_or_init(|| submitted);
         m.in_flight.add(1);
         // The query's `batch_submit` span (submit → coalesce) is emitted by
         // the dispatcher at coalesce time, once the covering batch — and
@@ -817,7 +819,7 @@ impl QueryEngine {
 
     /// Snapshot of the engine-level counters.
     pub fn stats(&self) -> EngineStats {
-        lock(&self.shared.stats).snapshot()
+        lock(&self.shared.stats).snapshot(self.shared.first_submit.get().copied())
     }
 
     /// Initiates shutdown from any thread: stops admissions on every shard

@@ -10,9 +10,9 @@
 //! | [`textbook`] | queue-based sequential BFS (correctness oracle) | §2 |
 //! | [`beamer`] | direction-optimizing BFS, three sequential variants | §2.1, §5.2 |
 //! | [`msbfs`] | sequential multi-source MS-BFS | §2.2 |
-//! | [`mspbfs`] | **MS-PBFS** — parallel multi-source BFS | §3.1 |
-//! | [`smspbfs`] | **SMS-PBFS** — parallel single-source BFS (bit & byte) | §3.2 |
-//! | `driver` (crate-private) | the level-synchronous loop under MS-PBFS, SMS-PBFS and the sharded kernel | §3 |
+//! | [`mspbfs`] | **MS-PBFS** — parallel multi-source BFS; the one set of phase bodies, over the [`mspbfs::VertexState`] trait | §3.1 |
+//! | [`smspbfs`] | **SMS-PBFS** — parallel single-source BFS: the bit and byte vertex states | §3.2 |
+//! | `driver` (crate-private) | the level-synchronous loop under the phase bodies and the sharded kernel | §3 |
 //! | [`batch`] | multi-batch drivers (per-core instances, one-per-socket) | §5.3 |
 //! | [`sharded`] | scatter/gather MS-BFS over the partitioned CSR (library kernel; engines run MS-PBFS) | §4.4 |
 //! | [`engine`] | online batched query engine (request coalescing, sharding) | — |

@@ -24,13 +24,17 @@ pub struct BfsOptions {
     pub split_size: usize,
     /// Direction-switching policy.
     pub policy: DirectionPolicy,
-    /// Atomic update flavour for the first top-down phase.
+    /// Atomic update flavour for the first top-down phase of MS-PBFS. The
+    /// single-source states have one update each and ignore it.
     pub atomic: AtomicKind,
     /// 64-bit chunk skipping when scanning dense single-source state
-    /// (Section 3.2). Disable only for the ablation bench.
+    /// (Section 3.2). MS-PBFS finds non-empty entries with a SIMD mask
+    /// either way. Disable only for the ablation bench.
     pub chunk_skip: bool,
     /// Bottom-up early exit once no further bits can be gained
-    /// (Section 3.1.2). Disable only for the ablation bench.
+    /// (Section 3.1.2). SMS-PBFS shares the bottom-up body, so this also
+    /// stops a single-source pull at its first frontier neighbor; without
+    /// it every neighbor is scanned. Disable only for the ablation bench.
     pub early_exit: bool,
     /// Collect per-iteration, per-worker statistics. Costs one `Instant`
     /// read per task; leave off in throughput measurements.

@@ -68,7 +68,7 @@ use crate::driver::{self, Kernel, Step, Tally};
 use crate::mspbfs::Batch;
 use crate::options::BfsOptions;
 use crate::stats::TraversalStats;
-use crate::visitor::MsVisitor;
+use crate::visitor::{MsHooks, MsVisitor};
 
 /// Reusable sharded multi-source BFS state for batches of up to `W * 64`
 /// sources, with one contribution array per adjacency partition.
@@ -160,7 +160,7 @@ impl<const W: usize> ShardedMsBfs<W> {
                 part,
                 sources,
                 opts,
-                visitor,
+                MsHooks(visitor),
                 [&self.seen, &self.frontier, next],
             ),
             rest,
@@ -179,7 +179,7 @@ impl<const W: usize> ShardedMsBfs<W> {
 /// phase 2 the gather; bottom-up, discovery accounting and recycling are
 /// the batch's own.
 struct Exchange<'a, P: ?Sized, V, const W: usize> {
-    ms: Batch<'a, P, V, W>,
+    ms: Batch<'a, P, MsHooks<'a, V>, StateArray<W>>,
     /// The contribution buffers of partitions `1..`.
     rest: &'a [StateArray<W>],
 }
@@ -206,7 +206,7 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
                 a.clear_range_owned(r.start, r.end);
             }
         });
-        crate::mspbfs::seed_sources(ms.g, ms.sources, seen, frontier, ms.visitor)
+        ms.seed()
     }
 
     /// Scatter: expands each range's frontier through its owning
@@ -265,28 +265,21 @@ impl<P: ShardedAdjacency + ?Sized, V: MsVisitor<W>, const W: usize> Kernel
             t.scan.merge(s);
         }
         // The other partitions' chunks are OR-merged into partition 0's
-        // buffer with one vectorized span pass each, and a mask scan then
-        // finds the non-empty entries — instead of `partitions × W` word
-        // loads per vertex.
+        // buffer with one vectorized span pass each, and the batch's chunk
+        // settle then finds the non-empty entries with one mask scan —
+        // instead of `partitions × W` word loads per vertex.
         for (i, act) in active.iter().enumerate() {
             if !act {
                 continue;
             }
             let cs = ((chunk0 + i) * SUMMARY_CHUNK).max(r.start);
             let ce = ((chunk0 + i + 1) * SUMMARY_CHUNK).min(r.end);
-            let mut mask = unsafe {
+            unsafe {
                 for c in self.rest {
                     acc.or_from_at(lvl, c, cs, ce);
+                    c.clear_range_owned(cs, ce);
                 }
-                acc.nonempty_mask_at(lvl, cs, ce)
-            };
-            while mask != 0 {
-                let v = cs + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                self.ms.settle_vertex(&mut t, step, v);
-            }
-            for c in self.rest {
-                unsafe { c.clear_range_owned(cs, ce) };
+                self.ms.settle_chunk(&mut t, step, cs, ce);
             }
         }
         t

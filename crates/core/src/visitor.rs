@@ -41,6 +41,47 @@ pub trait MsVisitor<const W: usize>: Sync {
     }
 }
 
+/// The discovery hooks the shared phase bodies call, over the per-vertex
+/// entry `E` of the state they run on.
+pub(crate) trait Hooks<E>: Sync {
+    /// Whether [`Self::tree_edge`] does anything, so the bodies track a
+    /// tree parent only when it does.
+    const TREE_EDGES: bool;
+    /// `v` was discovered at distance `dist` by the BFSs in `new`.
+    fn found(&self, v: VertexId, dist: u32, new: E);
+    /// `child` was first reached over the edge `(parent, child)`.
+    fn tree_edge(&self, parent: VertexId, child: VertexId);
+}
+
+/// Adapts an [`MsVisitor`] to the phase bodies. Batches record no tree
+/// edges, so that hook is empty and compiles away.
+pub(crate) struct MsHooks<'a, V>(pub &'a V);
+
+impl<V: MsVisitor<W>, const W: usize> Hooks<Bits<W>> for MsHooks<'_, V> {
+    const TREE_EDGES: bool = false;
+    #[inline]
+    fn found(&self, v: VertexId, dist: u32, new: Bits<W>) {
+        self.0.on_found(v, dist, new);
+    }
+    #[inline]
+    fn tree_edge(&self, _: VertexId, _: VertexId) {}
+}
+
+/// Adapts an [`SsVisitor`] to the phase bodies.
+pub(crate) struct SsHooks<'a, V>(pub &'a V);
+
+impl<V: SsVisitor> Hooks<bool> for SsHooks<'_, V> {
+    const TREE_EDGES: bool = true;
+    #[inline]
+    fn found(&self, v: VertexId, dist: u32, _: bool) {
+        self.0.on_found(v, dist);
+    }
+    #[inline]
+    fn tree_edge(&self, parent: VertexId, child: VertexId) {
+        self.0.on_tree_edge(parent, child);
+    }
+}
+
 /// Ignores all single-source events.
 pub struct NoopVisitor;
 

@@ -70,9 +70,9 @@ fn chaos_soak_holds_engine_invariants_across_25_schedules() {
 }
 
 /// The soak invariants hold with the engine sharded across two simulated
-/// sockets too: faults (including the `core.sharded.phase` site, which
-/// only sharded schedules reach) stay contained to the shard they hit,
-/// and every Ok answer remains oracle-exact.
+/// sockets too: faults (the `core.sharded.phase` site is not among them,
+/// since no engine schedule runs the sharded kernel) stay contained to
+/// the shard they hit, and every Ok answer remains oracle-exact.
 #[test]
 fn chaos_soak_holds_invariants_with_two_shards() {
     let _g = guard();
@@ -125,7 +125,7 @@ fn chaos_schedules_are_deterministic_per_seed() {
 
 /// Determinism is pinned across the newer execution axes too, not just
 /// the default stack: the same master seed replays the same armed sites
-/// on the two-shard scatter/gather engine and under the forced-scalar
+/// on the two-shard engine and under the forced-scalar
 /// SIMD kernels.
 #[test]
 fn chaos_schedules_are_deterministic_with_shards_and_scalar_simd() {

@@ -1,8 +1,10 @@
-//! Differential-testing oracle harness for the sharded scatter/gather
-//! engine: with `EngineConfig::shards` ∈ {2, 4} every query's distances
-//! must be **bit-identical** to the single-shard engine's — across every
-//! supported batch width, including the singleton path — and a poisoned
-//! shard must fail only its own batches while the others keep serving.
+//! Differential-testing oracle harness for the sharded engine, whose
+//! shards each run MS-PBFS (SMS-PBFS for a singleton) on their own
+//! dispatcher and pool: with `EngineConfig::shards` ∈ {2, 4} every
+//! query's distances must be **bit-identical** to the single-shard
+//! engine's — across every supported batch width, including the
+//! singleton path — and a poisoned shard must fail only its own batches
+//! while the others keep serving.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,9 +39,8 @@ fn run_engine(g: &Arc<CsrGraph>, shards: usize, width: usize, sources: &[u32]) -
 
 /// The acceptance matrix: every supported batch width × shard counts
 /// {1, 2, 4}, 1000+ query comparisons total. The single-shard engine is
-/// the oracle (it runs the classic plain-CSR kernels); the sharded
-/// engines run the scatter/gather kernel over the partitioned CSR and
-/// must reproduce its distances bit for bit.
+/// the oracle; the sharded engines run per-shard MS-PBFS over the same
+/// CSR and must reproduce its distances bit for bit.
 #[test]
 fn sharded_engine_is_bit_identical_across_shard_counts() {
     let g = Arc::new(pbfs::graph::gen::Kronecker::graph500(9).seed(17).generate());
@@ -64,8 +65,8 @@ fn sharded_engine_is_bit_identical_across_shard_counts() {
 }
 
 /// A lone submission takes the singleton flush path (width 1); under
-/// sharding that path runs the scatter/gather kernel at `W = 1` and must
-/// still match the textbook oracle exactly.
+/// sharding that path runs SMS-PBFS on one shard and must still match the
+/// textbook oracle exactly.
 #[test]
 fn sharded_singleton_path_matches_textbook() {
     let g = Arc::new(pbfs::graph::gen::uniform(500, 2000, 23));
