@@ -15,13 +15,18 @@
 //!
 //! All timings are wall-clock nanoseconds per directed edge of the graph
 //! (total traversal time over `num_directed_edges`), reported as the
-//! median and the minimum over `trials` runs.
+//! median and the minimum over `trials` runs. A multi-source trial times
+//! one traversal; a single-source trial times
+//! [`SMS_TRAVERSALS_PER_TRIAL`] traversals on one reused state and
+//! reports their mean.
 
 use std::time::Instant;
 
+use pbfs_bitset::{AtomicBitVec, AtomicByteVec};
 use pbfs_core::mspbfs::MsPbfs;
+use pbfs_core::mspbfs::VertexState;
 use pbfs_core::options::{AtomicKind, BfsOptions};
-use pbfs_core::smspbfs::{SmsPbfsBit, SmsPbfsByte};
+use pbfs_core::smspbfs::SmsPbfs;
 use pbfs_core::visitor::{NoopMsVisitor, NoopVisitor};
 use pbfs_graph::{gen, CsrGraph};
 use pbfs_sched::WorkerPool;
@@ -166,27 +171,35 @@ fn bench_ms<const W: usize>(
     (main, scalar)
 }
 
-/// Times one SMS-PBFS representation.
-fn bench_sms(
+/// Traversals timed together per SMS-PBFS trial. One single-source
+/// traversal of the default `kron-dense` graph (96,596 directed edges)
+/// took 0.05–0.3 ms on a 2-vCPU Xeon VM with 1–4 workers, too short for
+/// one sample to resolve a few percent; 32 of them span 1.7 ms or more.
+pub const SMS_TRAVERSALS_PER_TRIAL: usize = 32;
+
+/// Times one SMS-PBFS representation: each trial runs
+/// [`SMS_TRAVERSALS_PER_TRIAL`] traversals on one reused state and
+/// reports the time per traversal.
+fn bench_sms<S: VertexState<Entry = bool>>(
     g: &CsrGraph,
     pool: &WorkerPool,
     source: u32,
     opts: &BfsOptions,
     trials: usize,
-    byte_repr: bool,
 ) -> Timing {
     let edges = g.num_directed_edges().max(1) as f64;
+    let mut bfs: SmsPbfs<S> = SmsPbfs::new(g.num_vertices());
     let mut samples = Vec::with_capacity(trials);
     let mut skip = 0.0;
     for _ in 0..trials {
         let t0 = Instant::now();
-        let stats = if byte_repr {
-            SmsPbfsByte::new(g.num_vertices()).run(g, pool, source, opts, &NoopVisitor)
-        } else {
-            SmsPbfsBit::new(g.num_vertices()).run(g, pool, source, opts, &NoopVisitor)
-        };
-        samples.push(t0.elapsed().as_nanos() as f64 / edges);
-        skip = stats.summary_skip_ratio();
+        for _ in 0..SMS_TRAVERSALS_PER_TRIAL {
+            skip = bfs
+                .run(g, pool, source, opts, &NoopVisitor)
+                .summary_skip_ratio();
+        }
+        let per_traversal = t0.elapsed().as_nanos() as f64 / SMS_TRAVERSALS_PER_TRIAL as f64;
+        samples.push(per_traversal / edges);
     }
     Timing::from_samples(&mut samples, skip)
 }
@@ -247,8 +260,12 @@ pub fn run_kernels(cfg: &KernelConfig) -> Vec<KernelRow> {
             }
         }
         let source = pick_sources(g, 1, cfg.seed)[0];
-        for (algo, byte_repr) in [("sms-bit", false), ("sms-byte", true)] {
-            let timing = bench_sms(g, &pool, source, &opts, cfg.trials, byte_repr);
+        for algo in ["sms-bit", "sms-byte"] {
+            let timing = if algo == "sms-bit" {
+                bench_sms::<AtomicBitVec>(g, &pool, source, &opts, cfg.trials)
+            } else {
+                bench_sms::<AtomicByteVec>(g, &pool, source, &opts, cfg.trials)
+            };
             rows.push(KernelRow {
                 graph: gname.to_string(),
                 algo: algo.to_string(),

@@ -87,6 +87,9 @@ pub enum EventKind {
     /// The BFS execution of one flushed batch (`a` = width, `b` = batch
     /// size).
     BatchFlush,
+    /// A multi-source batch's distances were materialized into per-query
+    /// rows, inside its `BatchFlush` (`a` = width, `b` = batch size).
+    BatchMaterialize,
     /// A batch's results were delivered (`a` = width, `b` = batch size).
     /// Mark.
     BatchComplete,
@@ -118,6 +121,7 @@ impl EventKind {
             EventKind::BatchSubmit => "batch_submit",
             EventKind::BatchCoalesce => "batch_coalesce",
             EventKind::BatchFlush => "batch_flush",
+            EventKind::BatchMaterialize => "batch_materialize",
             EventKind::BatchComplete => "batch_complete",
             EventKind::BatchFailed => "batch_failed",
             EventKind::WorkerPanic => "worker_panic",
@@ -138,6 +142,7 @@ impl EventKind {
             EventKind::BatchSubmit
             | EventKind::BatchCoalesce
             | EventKind::BatchFlush
+            | EventKind::BatchMaterialize
             | EventKind::BatchComplete
             | EventKind::BatchFailed => "engine",
             EventKind::EpochPublish | EventKind::EpochPin => "storage",
@@ -169,6 +174,7 @@ impl EventKind {
             EventKind::BatchSubmit => ("source", "query"),
             EventKind::BatchCoalesce => ("batch", "width"),
             EventKind::BatchFlush => ("width", "batch"),
+            EventKind::BatchMaterialize => ("width", "batch"),
             EventKind::BatchComplete => ("width", "batch"),
             EventKind::BatchFailed => ("width", "batch"),
             EventKind::WorkerPanic => ("worker", "epoch"),

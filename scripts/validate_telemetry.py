@@ -36,6 +36,9 @@ REQUIRED_CHROME_EVENTS = {
     "batch_submit": "X",
     "batch_coalesce": "X",
     "batch_flush": "X",
+    # The step that turns a multi-source batch's traversal into per-query
+    # rows, nested inside its batch_flush.
+    "batch_materialize": "X",
     "batch_complete": "i",
 }
 

@@ -97,6 +97,62 @@ fn engine_replay_produces_full_trace_and_metrics() {
     assert!(parsed["metrics"].as_array().unwrap().len() >= 10);
 }
 
+/// A multi-source batch traces its materialization (turning the
+/// traversal's output into per-query rows) as a `batch_materialize` span
+/// on the engine lane, nested inside the batch's `batch_flush` and
+/// carrying the same query-set id.
+#[test]
+fn multi_source_batch_traces_its_materialization() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let g = Arc::new(pbfs::graph::gen::Kronecker::graph500(9).seed(3).generate());
+    let n = g.num_vertices() as u32;
+    let rec = telemetry::recorder();
+    rec.drain();
+    rec.set_enabled(true);
+
+    // 200 queries flushed by the deadline: one 256-wide batch, expanded
+    // from the level record.
+    let cfg = EngineConfig::default()
+        .with_workers(2)
+        .with_max_latency(std::time::Duration::from_millis(50));
+    let mut engine = QueryEngine::new(Arc::clone(&g), cfg);
+    let handles: Vec<_> = (0..200).map(|i| engine.submit(i % n).unwrap()).collect();
+    for h in handles {
+        h.wait().unwrap();
+    }
+    engine.shutdown();
+    rec.set_enabled(false);
+    let dump = rec.drain();
+
+    let flushes: Vec<_> = dump.events_of(EventKind::BatchFlush).collect();
+    let spans: Vec<_> = dump.events_of(EventKind::BatchMaterialize).collect();
+    assert!(!spans.is_empty(), "no batch_materialize span");
+    for (lane, m) in &spans {
+        assert_eq!(*lane, telemetry::ENGINE_LANE);
+        assert!(m.qset > 0, "batch_materialize without a query set");
+        assert!(m.a >= 64 && m.b >= 2, "a multi-source batch: {m:?}");
+        let (_, flush) = flushes
+            .iter()
+            .find(|(_, f)| f.qset == m.qset)
+            .expect("batch_materialize without its batch_flush");
+        assert!(
+            flush.start_ns <= m.start_ns && m.start_ns + m.dur_ns <= flush.start_ns + flush.dur_ns,
+            "batch_materialize {m:?} not inside batch_flush {flush:?}"
+        );
+    }
+    assert!(
+        spans.iter().any(|(_, m)| m.a == 256),
+        "expected the 256-wide batch: {spans:?}"
+    );
+    let chrome = telemetry::export::chrome_trace(&dump);
+    let parsed = pbfs_json::parse(&chrome.to_string_pretty()).unwrap();
+    assert!(parsed["traceEvents"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .any(|e| e["name"].as_str() == Some("batch_materialize") && e["ph"].as_str() == Some("X")));
+}
+
 /// Satellite of the causal-tracing work: under *concurrent* submitters
 /// the Chrome trace must still be structurally sound — valid JSON,
 /// timestamps monotone within every lane, and each batch lifecycle span
